@@ -8,6 +8,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import TextIO
 
 from .construct import color_corona
 from .enumeration import enumerate_subcubic
@@ -159,7 +160,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gs = [g for nn in range(1, args.ng_max + 1) for g in enumerate_subcubic(nn, connected=True)]
         hs = [h for nn in range(1, args.nh_max + 1) for h in enumerate_subcubic(nn)]
         pairs = [(g, h) for g in gs for h in hs]
-    records = []
+    if args.log:
+        with open(args.log, "a", encoding="utf-8") as out:
+            return _sweep_pairs(pairs, args.oracle_max, out)
+    return _sweep_pairs(pairs, args.oracle_max, sys.stdout)
+
+
+def _sweep_pairs(pairs: list[tuple[Graph, Graph]], oracle_max: int, out: TextIO) -> int:
+    """Color each pair, writing and flushing its JSONL record as soon as it finishes."""
     for gg, hh in pairs:
         g6g, g6h = emit_graph6(gg), emit_graph6(hh)
         start = time.perf_counter()
@@ -169,7 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if result.coloring.max_color > bound:
                 raise AssertionError(f"{result.coloring.max_color} colors exceed bound {bound}")
             chi = None
-            if args.oracle_max and gg.n <= args.oracle_max and hh.n <= args.oracle_max:
+            if oracle_max and gg.n <= oracle_max and hh.n <= oracle_max:
                 chi = chi_prod_exact(result.graph)
                 if chi > bound:
                     raise AssertionError(f"exact index {chi} exceeds bound {bound}")
@@ -177,28 +185,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"counterexample: g={g6g} h={g6h}: {exc}", file=sys.stderr)
             return 1
         wall_ms = (time.perf_counter() - start) * 1000.0
-        records.append(
-            {
-                "g6_g": g6g,
-                "g6_h": g6h,
-                "n_g": gg.n,
-                "n_h": hh.n,
-                "delta_g": max_degree(gg),
-                "delta_h": max_degree(hh),
-                "case": result.trace.case_tag,
-                "max_color": result.coloring.max_color,
-                "bound": bound,
-                "verified": True,
-                "chi_prod": chi,
-                "wall_ms": round(wall_ms, 3),
-            }
-        )
-    lines = "".join(json.dumps(r) + "\n" for r in records)
-    if args.log:
-        with open(args.log, "a", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+        record = {
+            "g6_g": g6g,
+            "g6_h": g6h,
+            "n_g": gg.n,
+            "n_h": hh.n,
+            "delta_g": max_degree(gg),
+            "delta_h": max_degree(hh),
+            "case": result.trace.case_tag,
+            "max_color": result.coloring.max_color,
+            "bound": bound,
+            "verified": True,
+            "chi_prod": chi,
+            "wall_ms": round(wall_ms, 3),
+        }
+        out.write(json.dumps(record) + "\n")
+        out.flush()
     return 0
 
 

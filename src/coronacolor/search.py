@@ -9,6 +9,7 @@ are plain Python integers, so distinction checks never overflow or round.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -27,28 +28,80 @@ class TotalColoring:
     max_color: int
 
 
+def _conflict_lists(g: Graph) -> list[list[int]]:
+    """Per element (vertices, then edges as n + edge id), the elements it must differ from."""
+    n = g.n
+    conf: list[list[int]] = [[] for _ in range(n + len(g.edges))]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for t, (a, b) in enumerate(g.edges):
+        e = n + t
+        inc[a].append(e)
+        inc[b].append(e)
+        conf[e].append(a)
+        conf[e].append(b)
+        conf[a].append(e)
+        conf[b].append(e)
+    for v in range(n):
+        conf[v].extend(g.adj[v])
+        ie = inc[v]
+        for x in range(len(ie)):
+            for y in range(x + 1, len(ie)):
+                conf[ie[x]].append(ie[y])
+                conf[ie[y]].append(ie[x])
+    return conf
+
+
+def _element_order(conf: list[list[int]]) -> list[int]:
+    """Most-constrained-first order of the elements, in O(T log T).
+
+    The next element is the unchosen one with the largest key (score,
+    conflict degree, -id), where an element's score counts its conflicts
+    against elements already ordered; so ties break toward more conflicts,
+    then toward the smaller id.  A lazy max-heap holds the keys: a score
+    increase pushes a fresh entry and leaves the old one in place.  Scores
+    only grow, so an element's entry with its current score outranks its
+    stale ones and is popped first; a popped entry of an element already
+    ordered is stale and dropped.  The order therefore equals a full rescan
+    for the maximum at every pick.
+    """
+    total = len(conf)
+    score = [0] * total
+    chosen = [False] * total
+    heap = [(0, -len(conf[e]), e) for e in range(total)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        e = heapq.heappop(heap)[2]
+        if chosen[e]:
+            continue
+        chosen[e] = True
+        order.append(e)
+        for s in conf[e]:
+            if not chosen[s]:
+                score[s] += 1
+                heapq.heappush(heap, (-score[s], -len(conf[s]), s))
+    return order
+
+
 def npdtc_search(
     g: Graph,
     k: int,
     budget: int = DEFAULT_BUDGET,
     *,
     distinguish: str = "product",
-    first_use_cap: bool = False,
 ) -> TotalColoring | None:
     """Proper total [k]-coloring with distinct signatures across every edge, or None.
 
-    Elements (vertices, then edges in canonical order) are colored by
-    decreasing conflict degree, colors ascending.  A star's signature is
-    checked as soon as the star completes, and a branch dies early when two
-    adjacent completed stars agree.  Raises BudgetExceededError when the node
-    budget runs out, which is distinct from an exhaustive None.
-
-    ``first_use_cap`` restricts every element to at most one color above the
-    largest used so far.  That normalization is complete for plain colorings
-    but NOT for signature distinction: relabeling colors changes products, and
-    a path on three vertices with k=3 already has solutions but no normalized
-    one.  It therefore defaults to off and exists only as a search heuristic;
-    never combine it with interpreting None as a proof of absence.
+    Elements (vertices, then edges in canonical order) are colored in
+    most-constrained-first order, colors ascending.  That order is computed
+    once, before the search, by ``_element_order``: each next element has the
+    most conflicts against those already ordered, ties broken by conflict
+    degree and then by the smaller id, so backtracking causes stay recent.
+    Every color of the palette is tried at every element, so an exhaustive
+    None is a proof of absence.  A star's signature is checked as soon as the
+    star completes, and a branch dies early when two adjacent completed stars
+    agree.  Raises BudgetExceededError when the node budget runs out, which is
+    distinct from an exhaustive None.
     """
     if k < 1:
         raise ValueError("palette size must be positive")
@@ -66,46 +119,10 @@ def npdtc_search(
         if deg[a] + 1 == k and deg[b] + 1 == k:
             return None
 
-    conf: list[list[int]] = [[] for _ in range(total)]
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for t, (a, b) in enumerate(g.edges):
-        e = n + t
-        inc[a].append(e)
-        inc[b].append(e)
-        conf[e].append(a)
-        conf[e].append(b)
-        conf[a].append(e)
-        conf[b].append(e)
-    for v in range(n):
-        conf[v].extend(g.adj[v])
-        ie = inc[v]
-        for x in range(len(ie)):
-            for y in range(x + 1, len(ie)):
-                conf[ie[x]].append(ie[y])
-                conf[ie[y]].append(ie[x])
+    conf = _conflict_lists(g)
     owners: list[tuple[int, ...]] = [(v,) for v in range(n)]
     owners.extend(g.edges)
-    # most-constrained-first order: grow by the count of conflicts against
-    # already-ordered elements, so backtracking causes stay recent; ties break
-    # by conflict degree, then element id.  Computed once, so completeness is
-    # unaffected.
-    order: list[int] = []
-    score = [0] * total
-    chosen = [False] * total
-    for _ in range(total):
-        best_e = -1
-        best_key = (-1, -1, 1)
-        for e in range(total):
-            if chosen[e]:
-                continue
-            key = (score[e], len(conf[e]), -e)
-            if key > best_key:
-                best_key = key
-                best_e = e
-        chosen[best_e] = True
-        order.append(best_e)
-        for s in conf[best_e]:
-            score[s] += 1
+    order = _element_order(conf)
 
     color = [0] * total
     banned = [[0] * (k + 1) for _ in range(total)]
@@ -159,18 +176,16 @@ def npdtc_search(
     nodes = 0
     depth = 0
     last = [0] * (total + 1)
-    max_used = [0] * (total + 1)
     trail: list[list[int]] = [[] for _ in range(total)]
     while True:
         if depth == total:
             return TotalColoring(tuple(color[:n]), tuple(color[n:]), max(color))
         e = order[depth]
-        cap = min(k, max_used[depth] + 1) if first_use_cap else k
         be = banned[e]
         c = last[depth] + 1
-        while c <= cap and be[c]:
+        while c <= k and be[c]:
             c += 1
-        if c > cap:
+        if c > k:
             last[depth] = 0
             depth -= 1
             if depth < 0:
@@ -186,7 +201,6 @@ def npdtc_search(
             revert(e, c, bumped)
             continue
         trail[depth] = bumped
-        max_used[depth + 1] = c if c > max_used[depth] else max_used[depth]
         depth += 1
 
 

@@ -193,3 +193,25 @@ def test_sweep_log_appends(tmp_path):
     for r in first + both:
         r.pop("wall_ms")
     assert both == first + first
+
+
+def test_sweep_streams_records_before_a_counterexample(tmp_path, monkeypatch, capsys):
+    from coronacolor import cli
+
+    calls = []
+    real = cli.color_corona
+
+    def failing_third(g, h):
+        calls.append((g, h))
+        if len(calls) == 3:
+            raise AssertionError("injected failure")
+        return real(g, h)
+
+    monkeypatch.setattr(cli, "color_corona", failing_third)
+    log = tmp_path / "log.jsonl"
+    assert main(["sweep", "--ng-max", "2", "--nh-max", "2", "--log", str(log)]) == 1
+    assert "counterexample" in capsys.readouterr().err
+    records = [json.loads(x) for x in log.read_text().splitlines()]
+    assert [(r["g6_g"], r["g6_h"]) for r in records] == [
+        (emit_graph6(g), emit_graph6(h)) for g, h in calls[:2]
+    ]

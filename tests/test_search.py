@@ -5,6 +5,7 @@ import pytest
 from coronacolor import (
     base_coloring,
     chi_prod_exact,
+    corona,
     enumerate_subcubic,
     gen_random_subcubic,
     max_degree,
@@ -15,6 +16,7 @@ from coronacolor import (
     verify_proper_total,
 )
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
+from coronacolor.search import _conflict_lists, _element_order
 
 
 def k(n):
@@ -53,6 +55,42 @@ def brute_chi_prod(g, kmax=8, distinguish="product"):
             if all(sig[a] != sig[b] for a, b in g.edges):
                 return kk
     return None
+
+
+def reference_element_order(conf):
+    """The original O(T^2) most-constrained-first scan, kept as the reference."""
+    total = len(conf)
+    order = []
+    score = [0] * total
+    chosen = [False] * total
+    for _ in range(total):
+        best_e = -1
+        best_key = (-1, -1, 1)
+        for e in range(total):
+            if chosen[e]:
+                continue
+            key = (score[e], len(conf[e]), -e)
+            if key > best_key:
+                best_key = key
+                best_e = e
+        chosen[best_e] = True
+        order.append(best_e)
+        for s in conf[best_e]:
+            score[s] += 1
+    return order
+
+
+def test_element_order_matches_reference_scan():
+    graphs = [g for n in range(1, 8) for g in enumerate_subcubic(n)]
+    graphs += [gen_random_subcubic(n, s) for n, s in ((50, 1), (400, 2), (1200, 3), (3000, 4))]
+    # coronas have high-degree G vertices and many equal keys to break
+    graphs += [
+        corona(gen_random_subcubic(gn, s), gen_random_subcubic(hn, s + 1))[0]
+        for gn, hn, s in ((4, 5, 1), (6, 3, 2), (10, 7, 3))
+    ]
+    for g in graphs:
+        conf = _conflict_lists(g)
+        assert _element_order(conf) == reference_element_order(conf), g.edges
 
 
 def test_k2_search():
@@ -138,12 +176,11 @@ def test_argument_validation():
         npdtc_search(k(2), 3, distinguish="sum")
 
 
-def test_first_use_cap_is_incomplete_for_products():
-    # P3 with k=3 has solutions, but none whose color sequence is first-use
-    # normalized, so the capped search must not be trusted as an oracle.
+def test_p3_has_a_three_coloring():
+    # no solution of P3 at k=3 introduces the colors in increasing order, so a
+    # search that normalized the palette order would wrongly report None
     p3 = new_graph(3, [(0, 1), (1, 2)])
     assert npdtc_search(p3, 3) is not None
-    assert npdtc_search(p3, 3, first_use_cap=True) is None
 
 
 def test_set_mode_matches_brute_force_and_is_below_product_index():
