@@ -50,6 +50,11 @@ def _emit_graph(g: Graph, fmt: str) -> str:
     return emit_edge_list(g)
 
 
+def _write_error(exc: OSError) -> int:
+    print(f"write error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_color(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.g, args.format)
@@ -69,12 +74,15 @@ def cmd_color(args: argparse.Namespace) -> int:
         print(f"bad instance: {exc}", file=sys.stderr)
         return 2
     doc = coloring_document(result.graph, result.coloring, result.corona_map)
-    if args.out:
-        Path(args.out).write_text(emit_coloring_json(doc), encoding="utf-8")
-    if args.dot:
-        Path(args.dot).write_text(
-            emit_dot(result.graph, result.coloring, result.corona_map), encoding="utf-8"
-        )
+    try:
+        if args.out:
+            Path(args.out).write_text(emit_coloring_json(doc), encoding="utf-8")
+        if args.dot:
+            Path(args.dot).write_text(
+                emit_dot(result.graph, result.coloring, result.corona_map), encoding="utf-8"
+            )
+    except OSError as exc:
+        return _write_error(exc)
     print(
         f"case={result.trace.case_tag} "
         f"max_color={result.coloring.max_color} bound={result.trace.palette_bound}"
@@ -119,7 +127,10 @@ def cmd_chi(args: argparse.Namespace) -> int:
         return 5
     text = emit_coloring_json(coloring_document(g, witness))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _write_error(exc)
     else:
         sys.stdout.write(text)
     return 0
@@ -161,8 +172,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         hs = [h for nn in range(1, args.nh_max + 1) for h in enumerate_subcubic(nn)]
         pairs = [(g, h) for g in gs for h in hs]
     if args.log:
-        with open(args.log, "a", encoding="utf-8") as out:
-            return _sweep_pairs(pairs, args.oracle_max, out)
+        try:
+            with open(args.log, "a", encoding="utf-8") as out:
+                return _sweep_pairs(pairs, args.oracle_max, out)
+        except OSError as exc:
+            return _write_error(exc)
     return _sweep_pairs(pairs, args.oracle_max, sys.stdout)
 
 

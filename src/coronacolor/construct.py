@@ -5,9 +5,12 @@ distinguishing total coloring of the first factor and a bounded proper edge
 coloring of the second.  Copy vertices are laid out along the second
 factor's vertices sorted by edge-color product, which makes the products
 inside each copy strictly increasing.  Components outside the structured
-cases, and any component whose structured coloring fails verification, are
-recolored by exact search within the same palette bound, so every returned
-coloring is verified.
+cases are colored by exact search within the same palette bound.  One
+verifier pass over the whole corona then checks the assembled coloring;
+components owning a violation are recolored by exact search and the corona
+is checked again (a proper-coloring clash hides product collisions from the
+verifier, so one pass can miss components), until a pass is clean.  Every
+returned coloring is verified.
 """
 
 from __future__ import annotations
@@ -211,18 +214,6 @@ def _corona_component(cg: Graph, cmap: CoronaMap, comp: tuple[int, ...]) -> tupl
     return subgraph(cg, verts)
 
 
-def _slice_coloring(
-    sub: Graph,
-    verts: tuple[int, ...],
-    vcol: list[int],
-    earr: list[int],
-    eidx: dict[tuple[int, int], int],
-) -> TotalColoring:
-    sv = tuple(vcol[v] for v in verts)
-    se = tuple(earr[eidx[_key(verts[a], verts[b])]] for a, b in sub.edges)
-    return TotalColoring(sv, se, max((*sv, *se)))
-
-
 def _fallback_component(
     cg: Graph,
     cmap: CoronaMap,
@@ -248,6 +239,16 @@ def _fallback_component(
         earr[eidx[_key(verts[a], verts[b])]] = tc.edge_colors[t]
 
 
+def _component_of(element: tuple, cmap: CoronaMap, comp_of: list[int]) -> int:
+    """Component of the first factor owning a violation element: v_j itself,
+    or v_j for a vertex of copy j; an edge lies inside one component, so
+    either endpoint will do."""
+    kind, x = element
+    if kind == "edge":
+        x = x[0]
+    return comp_of[x if x < cmap.n_g else (x - cmap.n_g) // cmap.n_h]
+
+
 def color_corona(
     g: Graph,
     h: Graph,
@@ -261,8 +262,11 @@ def color_corona(
     Single-edge components of g follow the recolor-or-ladder case, components
     under maximum degree 2..3 the avoidance-ladder case (offset by the global
     maximum degree so all components share one palette bound); isolated
-    vertices, an empty h, and any component failing verification fall back to
-    exact search.  The full verifier runs before returning.
+    vertices and an empty h fall back to exact search.  The whole corona is
+    then verified in one pass; the components owning a violation are
+    recolored by exact search and the corona is verified again, until a pass
+    is clean.  A violation inside a component that was already searched is an
+    internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -277,10 +281,7 @@ def color_corona(
     alphas: dict[int, int] = {}
     normalized = False
     sigma: tuple[int, ...] = ()
-    fallback: list[int] = []
-    if h.n == 0:
-        fallback = list(range(len(comps)))
-    else:
+    if h.n:
         base = base_coloring(g)
         ecol = vizing_color(h)
         dg = max_degree(g)
@@ -298,7 +299,6 @@ def color_corona(
                 earr[eidx[_key(ca, cb)]] = ecol.colors[(a, b)]
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
-                fallback.append(ci)
                 continue
             if dg == 1:
                 va, ea, tag, beta = case1_color(comp[0], comp[1], h, ecol, sigma, cmap)
@@ -311,21 +311,25 @@ def color_corona(
             for e, c in ea.items():
                 earr[eidx[e]] = c
             tags[ci] = tag
-        for ci, comp in enumerate(comps):
-            if tags[ci] == FALLBACK:
-                continue
-            sub, verts = _corona_component(cg, cmap, comp)
-            if not verify_npd(sub, _slice_coloring(sub, verts, vcol, earr, eidx)).ok:
-                tags[ci] = FALLBACK
-                fallback.append(ci)
-    for ci in fallback:
-        _fallback_component(cg, cmap, comps[ci], vcol, earr, eidx, bound, fallback_budget)
-    coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
-    report = verify_npd(cg, coloring)
-    if not report.ok:
-        raise AssertionError(
-            f"internal: constructed coloring failed verification: {report.violations[:3]}"
-        )
+    comp_of = [0] * g.n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+        if tags[ci] == FALLBACK:
+            _fallback_component(cg, cmap, comp, vcol, earr, eidx, bound, fallback_budget)
+    while True:
+        coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
+        report = verify_npd(cg, coloring)
+        if report.ok:
+            break
+        flagged = sorted({_component_of(v.elements[0], cmap, comp_of) for v in report.violations})
+        if any(tags[ci] == FALLBACK for ci in flagged):
+            raise AssertionError(
+                f"internal: constructed coloring failed verification: {report.violations[:3]}"
+            )
+        for ci in flagged:
+            tags[ci] = FALLBACK
+            _fallback_component(cg, cmap, comps[ci], vcol, earr, eidx, bound, fallback_budget)
     if coloring.max_color > bound:
         raise AssertionError(f"internal: {coloring.max_color} colors exceed bound {bound}")
     unique = set(tags)

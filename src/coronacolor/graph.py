@@ -96,10 +96,14 @@ def is_connected(g: Graph) -> bool:
 
 
 def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph plus the sorted original vertices (new id = position)."""
+    """Induced subgraph plus the sorted original vertices (new id = position).
+
+    Reads only the kept vertices' adjacency, so it costs O(edges kept), not
+    O(all edges of g).
+    """
     verts = tuple(sorted(set(vertices)))
     back = {v: i for i, v in enumerate(verts)}
-    edges = [(back[a], back[b]) for a, b in g.edges if a in back and b in back]
+    edges = [(back[a], back[b]) for a in verts for b in g.adj[a] if a < b and b in back]
     return new_graph(len(verts), edges), verts
 
 

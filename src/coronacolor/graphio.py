@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import (
     BadCharError,
@@ -56,12 +57,10 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise TruncatedPayloadError("empty graph6 text")
-    vals = []
-    for ch in s:
-        x = ord(ch) - 63
-        if not 0 <= x <= 63:
-            raise BadCharError(f"character {ch!r} outside the graph6 alphabet")
-        vals.append(x)
+    vals = [ord(ch) - 63 for ch in s]
+    if min(vals) < 0 or max(vals) > 63:
+        ch = next(ch for ch, x in zip(s, vals) if not 0 <= x <= 63)
+        raise BadCharError(f"character {ch!r} outside the graph6 alphabet")
     n, idx = _decode_size(vals)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -70,18 +69,21 @@ def parse_graph6(line: str) -> Graph:
         raise TruncatedPayloadError(f"need {need} payload characters, got {have}")
     if have > need:
         raise TrailingGarbageError(f"{have - need} characters past the adjacency payload")
-    edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            group, off = divmod(bit, 6)
-            if (vals[idx + group] >> (5 - off)) & 1:
-                edges.append((i, j))
-            bit += 1
     if need:
         pad = 6 * need - nbits
         if pad and vals[idx + need - 1] & ((1 << pad) - 1):
             raise TrailingGarbageError("nonzero padding bits")
+    # bit b is pair (i, j), i < j, in column order: b = j(j-1)/2 + i; only
+    # nonzero payload characters are visited
+    edges = []
+    for group, x in enumerate(vals[idx:]):
+        if not x:
+            continue
+        for off in range(6):
+            if (x >> (5 - off)) & 1:
+                b = 6 * group + off
+                j = (1 + isqrt(1 + 8 * b)) // 2
+                edges.append((b - j * (j - 1) // 2, j))
     return new_graph(n, edges)
 
 
@@ -90,14 +92,9 @@ def emit_graph6(g: Graph) -> str:
     vals = _encode_size(g.n)
     nbits = g.n * (g.n - 1) // 2
     groups = [0] * ((nbits + 5) // 6)
-    eset = set(g.edges)
-    bit = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            if (i, j) in eset:
-                group, off = divmod(bit, 6)
-                groups[group] |= 1 << (5 - off)
-            bit += 1
+    for i, j in g.edges:
+        group, off = divmod(j * (j - 1) // 2 + i, 6)
+        groups[group] |= 1 << (5 - off)
     return "".join(chr(x + 63) for x in vals + groups)
 
 
@@ -255,6 +252,8 @@ def parse_coloring_json(text: str) -> ColoringDocument:
             f"fields must be {sorted(required)} plus optional 'corona_map'"
         )
     n = _as_int(payload, "n")
+    if n < 0:
+        raise SchemaViolationError("n must be nonnegative")
     max_color = _as_int(payload, "max_color")
     if max_color < 1:
         raise SchemaViolationError("max_color must be positive")
@@ -265,12 +264,8 @@ def parse_coloring_json(text: str) -> ColoringDocument:
     ):
         raise SchemaViolationError("edges must be a list of [a, b] integer pairs")
     edges = tuple((e[0], e[1]) for e in raw_edges)
-    try:
-        new_graph(n, edges)
-    except CoronaColorError as exc:
-        raise SchemaViolationError(f"bad edge list: {exc}") from exc
-    if list(edges) != sorted(edges) or any(a >= b for a, b in edges):
-        raise SchemaViolationError("edges must be sorted pairs in canonical order")
+    # the color lists come first: their lengths tie n to the size of the text
+    # before a graph on n vertices is built
     for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
         col = payload[key]
         if not isinstance(col, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in col):
@@ -280,6 +275,12 @@ def parse_coloring_json(text: str) -> ColoringDocument:
         for c in col:
             if not 1 <= c <= max_color:
                 raise ColorOutOfRangeError(f"color {c} outside 1..{max_color}")
+    try:
+        new_graph(n, edges)
+    except CoronaColorError as exc:
+        raise SchemaViolationError(f"bad edge list: {exc}") from exc
+    if list(edges) != sorted(edges) or any(a >= b for a, b in edges):
+        raise SchemaViolationError("edges must be sorted pairs in canonical order")
     raw_map = payload.get("corona_map")
     corona_map = None
     if raw_map is not None:

@@ -215,3 +215,21 @@ def test_sweep_streams_records_before_a_counterexample(tmp_path, monkeypatch, ca
     assert [(r["g6_g"], r["g6_h"]) for r in records] == [
         (emit_graph6(g), emit_graph6(h)) for g, h in calls[:2]
     ]
+
+
+def test_unwritable_outputs_exit_2_without_traceback(tmp_path, capsys):
+    gp = write_g6(tmp_path / "g.g6", k(2))
+    missing = tmp_path / "no" / "such" / "dir"
+    for argv in (
+        ["color", "--g", gp, "--h", gp, "--out", str(missing / "col.json")],
+        ["color", "--g", gp, "--h", gp, "--dot", str(missing / "col.dot")],
+        ["chi", "--graph", gp, "--out", str(missing / "witness.json")],
+        ["sweep", "--ng-max", "2", "--nh-max", "1", "--log", str(missing / "log.jsonl")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("write error: ") and "Traceback" not in err, argv
+    assert not (tmp_path / "no").exists()
+    # gen keeps its own code for the same failure
+    assert main(["gen", "--n", "3", "--out", str(missing / "g.g6")]) == 1

@@ -237,3 +237,91 @@ def test_fallback_budget_error():
 
     with pytest.raises(FallbackBudgetError):
         color_corona(new_graph(1), k(2), fallback_budget=1)
+
+
+# SHA-256 over color_corona's output on every pair enumerate_subcubic(ng) x
+# enumerate_subcubic(nh), ng in 1..6 and nh in 1..4 (1,854 pairs, disconnected
+# G included); any change to the construction or its fallbacks moves it
+PINNED_OUTPUT_SHA256 = "9350efd5943e8a97c96d59d8c8be8a73b22c3389afaf66644a6a40079c054e30"
+
+
+def test_output_is_pinned_on_small_pairs():
+    import hashlib
+
+    hs = [h for nh in range(1, 5) for h in enumerate_subcubic(nh)]
+    digest = hashlib.sha256()
+    pairs = 0
+    for ng in range(1, 7):
+        for g in enumerate_subcubic(ng):
+            for h in hs:
+                res = color_corona(g, h)
+                c, t = res.coloring, res.trace
+                record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
+                digest.update(repr(record).encode() + b"\n")
+                pairs += 1
+    assert pairs == 1854
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
+    from coronacolor import construct
+
+    # a triangle, a path, a triangle and a claw: every component is Case2
+    g = new_graph(13, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (6, 7), (6, 8), (7, 8),
+                       (9, 10), (9, 11), (9, 12)])
+    h = k(2)
+    assert all(t == CASE_2 for _, t in color_corona(g, h).trace.component_cases)
+    real_case2 = construct.case2_color
+
+    def broken_case2(comp, base, h, ecol, sigma, cmap, delta_g):
+        va, ea, alphas = real_case2(comp, base, h, ecol, sigma, cmap, delta_g)
+        v = comp[0]
+        cu = cmap.copy_vertex(v + 1, sigma[0] + 1)
+        if v == 0:
+            # product collision only: v's product is star_G(v) times its two
+            # corona edge colors delta_g+4 and delta_g+5; the copy vertex's is
+            # its own color times delta_g+4 and the H edge's color 1
+            va[cu] = product_at(g, base, v) * (delta_g + 5)
+        elif v == 6:
+            # proper clash inside copy 7, so the violation names copy vertices
+            va[cmap.copy_vertex(v + 1, sigma[1] + 1)] = va[cu]
+        return va, ea, alphas
+
+    verify_calls = []
+    real_verify = construct.verify_npd
+
+    def counting_verify(graph, coloring):
+        report = real_verify(graph, coloring)
+        verify_calls.append(sorted({v.kind for v in report.violations}))
+        return report
+
+    monkeypatch.setattr(construct, "case2_color", broken_case2)
+    monkeypatch.setattr(construct, "verify_npd", counting_verify)
+    res = color_corona(g, h)
+    assert verify_npd(res.graph, res.coloring).ok
+    assert res.coloring.max_color <= res.trace.palette_bound
+    tags = dict(res.trace.component_cases)
+    assert tags == {(0, 1, 2): FALLBACK, (3, 4, 5): CASE_2, (6, 7, 8): FALLBACK,
+                    (9, 10, 11, 12): CASE_2}
+    assert res.trace.case_tag == MIXED
+    # the clash hides the collision from the first pass
+    assert len(verify_calls) == 3
+    assert "VertexVertexClash" in verify_calls[0] and "ProductCollision" not in verify_calls[0]
+    assert verify_calls[1:] == [["ProductCollision"], []]
+
+
+def test_violation_in_a_searched_component_is_an_internal_error(monkeypatch):
+    from coronacolor import construct
+    from coronacolor.search import TotalColoring
+
+    calls = []
+
+    def clashing_search(sub, bound, budget):
+        calls.append(sub)
+        if len(calls) > 1:
+            raise RuntimeError("component searched twice")
+        return TotalColoring((1,) * sub.n, tuple(range(2, 2 + len(sub.edges))), bound)
+
+    monkeypatch.setattr(construct, "npdtc_search", clashing_search)
+    with pytest.raises(AssertionError, match="failed verification"):
+        color_corona(new_graph(1), k(2))  # an isolated vertex: searched at once

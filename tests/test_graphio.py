@@ -53,6 +53,8 @@ def test_graph6_errors():
         parse_graph6("B")  # n=3 needs one payload character
     with pytest.raises(TrailingGarbageError):
         parse_graph6("A__")
+    with pytest.raises(TrailingGarbageError):
+        parse_graph6("A`")  # n=2 uses 1 of the 6 bits; a padding bit is set
     with pytest.raises(TruncatedPayloadError):
         parse_graph6("")
 
@@ -159,6 +161,8 @@ def test_coloring_json_rejects_bad_documents():
         parse_coloring_json('{"n": 2, "edges": [[1, 0]], "vertex_colors": [1, 2], "edge_colors": [3], "max_color": 3}')
     with pytest.raises(SchemaViolationError):
         parse_coloring_json('{"n": 2, "edges": [[0, 1]], "vertex_colors": [1], "edge_colors": [3], "max_color": 3}')
+    with pytest.raises(SchemaViolationError, match="nonnegative"):
+        parse_coloring_json('{"n": -1, "edges": [], "vertex_colors": [], "edge_colors": [], "max_color": 1}')
 
 
 def test_constructed_coloring_document_reverifies():
