@@ -14,24 +14,19 @@ from .construct import (
     case1_color,
     case2_color,
     color_corona,
-    dispatch_case,
     sort_by_product,
 )
 from .edgecolor import (
     EdgeColoring,
     chi_prime_exact,
-    edge_color_product,
     edge_colors_at,
     permute_colors,
     vizing_color,
 )
-from .enumeration import canonical_form, canonical_graph, enumerate_subcubic
+from .enumeration import canonical_form, enumerate_subcubic
 from .graph import (
-    CopyEdge,
     CopyVertex,
-    CoronaEdge,
     CoronaMap,
-    GEdge,
     GVertex,
     Graph,
     connected_components,

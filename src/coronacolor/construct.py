@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .edgecolor import EdgeColoring, edge_color_product, edge_colors_at, permute_colors, vizing_color
+from .edgecolor import EdgeColoring, edge_colors_at, permute_colors, vizing_color
 from .errors import BudgetExceededError, FallbackBudgetError, NoAvoidColorError
 from .graph import (
     CoronaMap,
@@ -72,44 +72,31 @@ class ColorResult(NamedTuple):
 
 def sort_by_product(ecol: EdgeColoring, h: Graph) -> tuple[int, ...]:
     """h's vertices by nondecreasing incident edge-color product, ties by index."""
-    return tuple(sorted(range(h.n), key=lambda u: (edge_color_product(h, ecol, u), u)))
-
-
-def dispatch_case(g: Graph) -> str:
-    """Coarse dispatch: "case1" when every component is a single edge, "case2"
-    for maximum degree 2 or 3, "fallback" otherwise."""
-    require_subcubic(g)
-    d = max_degree(g)
-    if d >= 2:
-        return "case2"
-    if d == 1 and all(len(c) == 2 for c in connected_components(g)):
-        return "case1"
-    return "fallback"
-
-
-def _key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+    prod = [1] * h.n
+    for (a, b), c in zip(h.edges, ecol.colors):
+        prod[a] *= c
+        prod[b] *= c
+    return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
 def case1_color(
     v1: int,
     v2: int,
-    h: Graph,
-    ecol: EdgeColoring,
+    s_min: frozenset[int],
     sigma: tuple[int, ...],
     cmap: CoronaMap,
 ) -> tuple[dict[int, int], dict[tuple[int, int], int], str, int | None]:
     """Colors for one single-edge component of G and its two copies of H.
 
-    When color 4 misses the minimum-product vertex, the base coloring of the
-    component is kept and copy position i gets vertex color i+3 under corona
-    edge color i+4.  Otherwise the component edge and both minimum copy
-    vertices are recolored to the smallest color of {1,2,3} missing there,
-    their corona edges get 5, the endpoints take the two remaining small
-    colors, and positions from 2 on follow the same ladder.
+    s_min is the set of edge colors at the minimum-product vertex sigma[0].
+    When color 4 misses that vertex, the base coloring of the component is
+    kept and copy position i gets vertex color i+3 under corona edge color
+    i+4.  Otherwise the component edge and both minimum copy vertices are
+    recolored to the smallest color of {1,2,3} missing there, their corona
+    edges get 5, the endpoints take the two remaining small colors, and
+    positions from 2 on follow the same ladder.
     """
     u_min = sigma[0]
-    s_min = edge_colors_at(h, ecol, u_min)
     va: dict[int, int] = {}
     ea: dict[tuple[int, int], int] = {}
     if 4 not in s_min:
@@ -125,22 +112,21 @@ def case1_color(
         for vj, j in ((v1, v1 + 1), (v2, v2 + 1)):
             cu = cmap.copy_vertex(j, u_min + 1)
             va[cu] = beta
-            ea[_key(vj, cu)] = 5
+            ea[(vj, cu)] = 5
         tag, start = CASE_1_1, 2
     for pos in range(start, len(sigma) + 1):
         hu = sigma[pos - 1]
         for vj, j in ((v1, v1 + 1), (v2, v2 + 1)):
             cu = cmap.copy_vertex(j, hu + 1)
             va[cu] = pos + 3
-            ea[_key(vj, cu)] = pos + 4
+            ea[(vj, cu)] = pos + 4
     return va, ea, tag, beta
 
 
 def case2_color(
     comp: tuple[int, ...],
     base: TotalColoring,
-    h: Graph,
-    ecol: EdgeColoring,
+    s_min: frozenset[int],
     sigma: tuple[int, ...],
     cmap: CoronaMap,
     delta_g: int,
@@ -148,11 +134,10 @@ def case2_color(
     """Ladder coloring of one component's copies when max_degree(G) is 2 or 3.
 
     Every copy j starts with an avoidance color alpha_j, the smallest color
-    of 1..5 missing from both the minimum copy vertex's edge colors and
-    v_j's own color; later positions climb above the base palette.
+    of 1..5 missing from both s_min, the minimum copy vertex's edge colors,
+    and v_j's own color; later positions climb above the base palette.
     """
     u_min = sigma[0]
-    s_min = edge_colors_at(h, ecol, u_min)
     va: dict[int, int] = {}
     ea: dict[tuple[int, int], int] = {}
     alphas: dict[int, int] = {}
@@ -170,12 +155,12 @@ def case2_color(
         alphas[j] = alpha
         cu = cmap.copy_vertex(j, u_min + 1)
         va[cu] = alpha
-        ea[_key(v, cu)] = delta_g + 4
+        ea[(v, cu)] = delta_g + 4
         for pos in range(2, len(sigma) + 1):
             hu = sigma[pos - 1]
             cu = cmap.copy_vertex(j, hu + 1)
             va[cu] = delta_g + pos + 2
-            ea[_key(v, cu)] = delta_g + pos + 3
+            ea[(v, cu)] = delta_g + pos + 3
     return va, ea, alphas
 
 
@@ -187,17 +172,16 @@ def _steer_color4_off_min_vertex(h: Graph, ecol: EdgeColoring) -> tuple[EdgeColo
     success or on a repeated state.
     """
     applied = False
-    seen: set[tuple] = set()
+    seen: set[tuple[int, ...]] = set()
     cur = ecol
     while True:
         sigma = sort_by_product(cur, h)
         s_min = edge_colors_at(h, cur, sigma[0])
         if 4 not in s_min:
             return cur, applied
-        state = tuple(sorted(cur.colors.items()))
-        if state in seen:
+        if cur.colors in seen:
             return cur, applied
-        seen.add(state)
+        seen.add(cur.colors)
         gamma = min({1, 2, 3} - s_min)
         perm = {c: c for c in range(1, cur.k + 1)}
         perm[4], perm[gamma] = gamma, 4
@@ -236,7 +220,7 @@ def _fallback_component(
     for i, v in enumerate(verts):
         vcol[v] = tc.vertex_colors[i]
     for t, (a, b) in enumerate(sub.edges):
-        earr[eidx[_key(verts[a], verts[b])]] = tc.edge_colors[t]
+        earr[eidx[(verts[a], verts[b])]] = tc.edge_colors[t]
 
 
 def _component_of(element: tuple, cmap: CoronaMap, comp_of: list[int]) -> int:
@@ -259,14 +243,16 @@ def color_corona(
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
-    Single-edge components of g follow the recolor-or-ladder case, components
-    under maximum degree 2..3 the avoidance-ladder case (offset by the global
-    maximum degree so all components share one palette bound); isolated
-    vertices and an empty h fall back to exact search.  The whole corona is
-    then verified in one pass; the components owning a violation are
-    recolored by exact search and the corona is verified again, until a pass
-    is clean.  A violation inside a component that was already searched is an
-    internal error.
+    One rule picks each component's coloring: an isolated vertex, or any
+    component when h is empty, gets exact search; otherwise, when
+    max_degree(g) is 1, every remaining component is a single edge and takes
+    the recolor-or-ladder case (``case1_color``); otherwise every remaining
+    component, single edges included, takes the avoidance-ladder case
+    (``case2_color``), offset by the global maximum degree so all components
+    share one palette bound.  The whole corona is then verified in one pass;
+    the components owning a violation are recolored by exact search and the
+    corona is verified again, until a pass is clean.  A violation inside a
+    component that was already searched is an internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -288,22 +274,22 @@ def color_corona(
         if dg == 1 and normalize:
             ecol, normalized = _steer_color4_off_min_vertex(h, ecol)
         sigma = sort_by_product(ecol, h)
+        s_min = edge_colors_at(h, ecol, sigma[0])
         for v in range(g.n):
             vcol[v] = base.vertex_colors[v]
         for t, e in enumerate(g.edges):
             earr[eidx[e]] = base.edge_colors[t]
         for j in range(1, g.n + 1):
-            for a, b in h.edges:
-                ca = cmap.copy_vertex(j, a + 1)
-                cb = cmap.copy_vertex(j, b + 1)
-                earr[eidx[_key(ca, cb)]] = ecol.colors[(a, b)]
+            off = cmap.copy_vertex(j, 1)
+            for (a, b), c in zip(h.edges, ecol.colors):
+                earr[eidx[(off + a, off + b)]] = c
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
                 continue
             if dg == 1:
-                va, ea, tag, beta = case1_color(comp[0], comp[1], h, ecol, sigma, cmap)
+                va, ea, tag, beta = case1_color(comp[0], comp[1], s_min, sigma, cmap)
             else:
-                va, ea, comp_alphas = case2_color(comp, base, h, ecol, sigma, cmap, dg)
+                va, ea, comp_alphas = case2_color(comp, base, s_min, sigma, cmap, dg)
                 alphas.update(comp_alphas)
                 tag = CASE_2
             for x, c in va.items():

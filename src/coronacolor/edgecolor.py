@@ -11,27 +11,15 @@ from .graph import Graph, max_degree
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Map from canonical edge to a color in 1..k."""
+    """A color in 1..k per edge, in canonical edge order (as in ``Graph.edges``)."""
 
-    colors: dict[tuple[int, int], int]
+    colors: tuple[int, ...]
     k: int
 
 
 def edge_colors_at(h: Graph, ecol: EdgeColoring, u: int) -> frozenset[int]:
     """Set of colors on the edges incident with u."""
-    return frozenset(ecol.colors[(min(u, w), max(u, w))] for w in h.adj[u])
-
-
-def edge_color_product(h: Graph, ecol: EdgeColoring, u: int) -> int:
-    """Product of the colors on the edges incident with u; 1 when u is isolated."""
-    p = 1
-    for w in h.adj[u]:
-        p *= ecol.colors[(min(u, w), max(u, w))]
-    return p
-
-
-def _key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+    return frozenset(c for e, c in zip(h.edges, ecol.colors) if u in e)
 
 
 def vizing_color(h: Graph) -> EdgeColoring:
@@ -44,9 +32,9 @@ def vizing_color(h: Graph) -> EdgeColoring:
     deterministic function of the graph.
     """
     if not h.edges:
-        return EdgeColoring({}, 1)
+        return EdgeColoring((), 1)
     k = max_degree(h) + 1
-    color: dict[tuple[int, int], int] = {}
+    col: list[dict[int, int]] = [dict() for _ in range(h.n)]  # vertex -> neighbor -> color
     at: list[dict[int, int]] = [dict() for _ in range(h.n)]  # vertex -> color -> neighbor
 
     def free(v: int) -> int:
@@ -56,34 +44,34 @@ def vizing_color(h: Graph) -> EdgeColoring:
         raise AssertionError("degree exceeds palette")
 
     def assign(a: int, b: int, c: int) -> None:
-        e = _key(a, b)
-        old = color.get(e)
+        old = col[a].get(b)
         if old is not None:
             del at[a][old]
             del at[b][old]
-        color[e] = c
+        col[a][b] = col[b][a] = c
         at[a][c] = b
         at[b][c] = a
 
     def unassign(a: int, b: int) -> None:
-        old = color.pop(_key(a, b))
+        old = col[a].pop(b)
+        del col[b][a]
         del at[a][old]
         del at[b][old]
 
     def invert_path(u: int, c: int, d: int) -> None:
         # walk the maximal path from u alternating d, c, then swap the two colors
-        path: list[tuple[int, int, int]] = []  # (x, y, col)
+        path: list[tuple[int, int, int]] = []  # (x, y, color)
         x, want = u, d
         while want in at[x]:
             y = at[x][want]
             path.append((x, y, want))
             x, want = y, (c if want == d else d)
-        for a, b, col in path:
-            del at[a][col]
-            del at[b][col]
-        for a, b, col in path:
-            new = c if col == d else d
-            color[_key(a, b)] = new
+        for a, b, old in path:
+            del at[a][old]
+            del at[b][old]
+        for a, b, old in path:
+            new = c if old == d else d
+            col[a][b] = col[b][a] = new
             at[a][new] = b
             at[b][new] = a
 
@@ -96,7 +84,7 @@ def vizing_color(h: Graph) -> EdgeColoring:
             for w in h.adj[u]:
                 if w in in_fan:
                     continue
-                cw = color.get(_key(u, w))
+                cw = col[u].get(w)
                 if cw is not None and cw not in at[last]:
                     nxt = w
                     break
@@ -113,17 +101,17 @@ def vizing_color(h: Graph) -> EdgeColoring:
         for i, x in enumerate(fan):
             if d in at[x]:
                 continue
-            if all(color[_key(u, fan[j])] not in at[fan[j - 1]] for j in range(1, i + 1)):
+            if all(col[u][fan[j]] not in at[fan[j - 1]] for j in range(1, i + 1)):
                 w_idx = i
                 break
         if w_idx is None:
             raise AssertionError("fan recoloring failed")
         for j in range(1, w_idx + 1):
-            cj = color[_key(u, fan[j])]
+            cj = col[u][fan[j]]
             unassign(u, fan[j])
             assign(u, fan[j - 1], cj)
         assign(u, fan[w_idx], d)
-    return EdgeColoring(color, k)
+    return EdgeColoring(tuple(col[a][b] for a, b in h.edges), k)
 
 
 def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColoring]:
@@ -135,7 +123,7 @@ def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColorin
     """
     m = len(h.edges)
     if m == 0:
-        return 1, EdgeColoring({}, 1)
+        return 1, EdgeColoring((), 1)
     adj_edges: list[list[int]] = [[] for _ in range(m)]
     inc: list[list[int]] = [[] for _ in range(h.n)]
     for t, (a, b) in enumerate(h.edges):
@@ -151,8 +139,7 @@ def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColorin
         t = 0
         while t >= 0:
             if t == m:
-                witness = {h.edges[i]: assign[i] for i in range(m)}
-                return kk, EdgeColoring(witness, kk)
+                return kk, EdgeColoring(tuple(assign), kk)
             limit = min(t + 1, kk)
             c = assign[t] + 1
             placed = False
@@ -178,4 +165,4 @@ def permute_colors(ecol: EdgeColoring, perm: Mapping[int, int]) -> EdgeColoring:
     domain = set(range(1, ecol.k + 1))
     if set(perm.keys()) != domain or set(perm.values()) != domain:
         raise NotABijectionError(f"permutation must be a bijection on 1..{ecol.k}")
-    return EdgeColoring({e: perm[c] for e, c in ecol.colors.items()}, ecol.k)
+    return EdgeColoring(tuple(perm[c] for c in ecol.colors), ecol.k)

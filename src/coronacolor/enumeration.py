@@ -99,11 +99,6 @@ def _graph_from_form(form: tuple[int, tuple[int, ...]]) -> Graph:
     return new_graph(n, edges)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """Canonically labeled copy of g (identical for every isomorphic input)."""
-    return _graph_from_form(canonical_form(g))
-
-
 @lru_cache(maxsize=None)
 def _subcubic_level(n: int) -> tuple[Graph, ...]:
     if n <= 0:

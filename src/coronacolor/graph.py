@@ -116,19 +116,6 @@ class CopyVertex(NamedTuple):
     i: int
 
 
-class GEdge(NamedTuple):
-    pass
-
-
-class CopyEdge(NamedTuple):
-    j: int
-
-
-class CoronaEdge(NamedTuple):
-    j: int
-    i: int
-
-
 @dataclass(frozen=True)
 class CoronaMap:
     """Role bookkeeping for corona vertices, using 1-based labels v_j and u_i^j.
@@ -161,19 +148,6 @@ class CoronaMap:
             return GVertex(x + 1)
         r = x - self.n_g
         return CopyVertex(r // self.n_h + 1, r % self.n_h + 1)
-
-    def edge_class(self, a: int, b: int) -> GEdge | CopyEdge | CoronaEdge:
-        ra, rb = self.role(a), self.role(b)
-        if isinstance(ra, GVertex) and isinstance(rb, GVertex):
-            return GEdge()
-        if isinstance(ra, CopyVertex) and isinstance(rb, CopyVertex):
-            if ra.j != rb.j:
-                raise ValueError(f"({a},{b}) joins different copies; not an edge of the corona")
-            return CopyEdge(ra.j)
-        gr, cr = (ra, rb) if isinstance(ra, GVertex) else (rb, ra)
-        if gr.j != cr.j:
-            raise ValueError(f"({a},{b}) joins v_{gr.j} to copy {cr.j}; not an edge of the corona")
-        return CoronaEdge(cr.j, cr.i)
 
 
 def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:

@@ -24,6 +24,11 @@ from .search import TotalColoring
 
 GRAPH6_HEADER = ">>graph6<<"
 
+# An edge-list header fixes n on its own and new_graph builds one adjacency
+# list per vertex, so an unbounded n would let a dozen bytes of input demand
+# gigabytes.  A 2**20-vertex graph takes about 100 MB.
+MAX_EDGE_LIST_VERTICES = 1 << 20
+
 
 def _decode_size(vals: list[int]) -> tuple[int, int]:
     if vals[0] != 63:
@@ -117,6 +122,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(f"line {ln}: header fields must be integers") from None
             if n < 0 or m < 0:
                 raise EdgeListParseError(f"line {ln}: header fields must be nonnegative")
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise EdgeListParseError(
+                    f"line {ln}: {n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}"
+                )
             continue
         if len(parts) != 2:
             raise EdgeListParseError(f"line {ln}: expected 'a b'")

@@ -1,10 +1,10 @@
-"""Exact backtracking search for neighbor-distinguishing proper total colorings.
+"""Exact backtracking search for neighbor-product-distinguishing proper total colorings.
 
 A proper total coloring assigns colors to vertices and edges so that adjacent
 or incident elements always differ.  The search additionally separates the
-two ends of every edge by a signature of their closed stars: the exact
-integer product of the star's colors, or the set of those colors.  Products
-are plain Python integers, so distinction checks never overflow or round.
+two ends of every edge by their closed-star products: the exact integer
+product of the colors on a vertex and its incident edges.  Products are plain
+Python integers, so distinction checks never overflow or round.
 """
 
 from __future__ import annotations
@@ -83,14 +83,8 @@ def _element_order(conf: list[list[int]]) -> list[int]:
     return order
 
 
-def npdtc_search(
-    g: Graph,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    distinguish: str = "product",
-) -> TotalColoring | None:
-    """Proper total [k]-coloring with distinct signatures across every edge, or None.
+def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColoring | None:
+    """Proper total [k]-coloring with distinct star products across every edge, or None.
 
     Elements (vertices, then edges in canonical order) are colored in
     most-constrained-first order, colors ascending.  That order is computed
@@ -98,15 +92,13 @@ def npdtc_search(
     most conflicts against those already ordered, ties broken by conflict
     degree and then by the smaller id, so backtracking causes stay recent.
     Every color of the palette is tried at every element, so an exhaustive
-    None is a proof of absence.  A star's signature is checked as soon as the
+    None is a proof of absence.  A star's product is checked as soon as the
     star completes, and a branch dies early when two adjacent completed stars
     agree.  Raises BudgetExceededError when the node budget runs out, which is
     distinct from an exhaustive None.
     """
     if k < 1:
         raise ValueError("palette size must be positive")
-    if distinguish not in ("product", "set"):
-        raise ValueError("distinguish must be 'product' or 'set'")
     n, m = g.n, len(g.edges)
     total = n + m
     if total == 0:
@@ -115,7 +107,7 @@ def npdtc_search(
     if max(deg, default=0) + 1 > k:
         return None
     for a, b in g.edges:
-        # both stars would need the whole palette, forcing equal signatures
+        # both stars would need the whole palette, forcing equal products
         if deg[a] + 1 == k and deg[b] + 1 == k:
             return None
 
@@ -128,8 +120,7 @@ def npdtc_search(
     banned = [[0] * (k + 1) for _ in range(total)]
     avail = [k] * total
     star_left = [deg[v] + 1 for v in range(n)]
-    product_mode = distinguish == "product"
-    sig: list = [1] * n if product_mode else [set() for _ in range(n)]
+    sig = [1] * n
     adjacency = g.adj
 
     def apply(e: int, c: int) -> tuple[list[int], bool]:
@@ -147,10 +138,7 @@ def npdtc_search(
         color[e] = c
         for v in owners[e]:
             star_left[v] -= 1
-            if product_mode:
-                sig[v] *= c
-            else:
-                sig[v].add(c)
+            sig[v] *= c
             if star_left[v] == 0:
                 sv = sig[v]
                 for w in adjacency[v]:
@@ -163,10 +151,7 @@ def npdtc_search(
         color[e] = 0
         for v in owners[e]:
             star_left[v] += 1
-            if product_mode:
-                sig[v] //= c
-            else:
-                sig[v].discard(c)
+            sig[v] //= c
         for s in bumped:
             bs = banned[s]
             bs[c] -= 1
@@ -204,10 +189,10 @@ def npdtc_search(
         depth += 1
 
 
-def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET, *, distinguish: str = "product") -> int:
-    """Smallest k admitting a distinguishing proper total [k]-coloring.
+def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
+    """Smallest k admitting a neighbor-product-distinguishing proper total [k]-coloring.
 
-    Works per connected component (signatures are local, so the answer is the
+    Works per connected component (products are local, so the answer is the
     maximum over components) and increments k from the forced lower bound
     max_degree+1.  Each individual search attempt gets the full budget.
     """
@@ -220,7 +205,7 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET, *, distinguish: str =
         sub, _ = subgraph(g, comp)
         k = max_degree(sub) + 1
         while True:
-            if npdtc_search(sub, k, budget, distinguish=distinguish) is not None:
+            if npdtc_search(sub, k, budget) is not None:
                 break
             k += 1
         if k > best:

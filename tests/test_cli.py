@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from coronacolor import (
@@ -127,13 +128,20 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch):
     assert main(["color", "--g", gp, "--h", gp]) == 4
 
 
-def test_degenerate_inputs_exit_cleanly(tmp_path):
+def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     assert main(["gen", "--n", "0"]) == 2
     empty = tmp_path / "empty.g6"
     empty.write_text("?\n", encoding="utf-8")  # zero-vertex graph
     gp = write_g6(tmp_path / "g.g6", k(2))
     assert main(["color", "--g", str(empty), "--h", gp]) == 2
     assert main(["chi", "--graph", str(empty)]) == 2
+    # a 12-byte header promising 10**8 vertices
+    big = tmp_path / "big.el"
+    big.write_text("100000000 0", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["color", "--g", str(big), "--h", str(big), "--format", "edgelist"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
 
 
 def test_gen_command(tmp_path, capsys):
@@ -233,3 +241,22 @@ def test_unwritable_outputs_exit_2_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "no").exists()
     # gen keeps its own code for the same failure
     assert main(["gen", "--n", "3", "--out", str(missing / "g.g6")]) == 1
+
+
+# SHA-256 of the records of `sweep --ng-max 7 --nh-max 5 --oracle-max 4`
+# without wall_ms, one json.dumps(record) + "\n" each (4,633 records); a
+# refactor that keeps the construction, the oracle and the record fields
+# byte-identical leaves it unchanged
+SWEEP_RECORDS_SHA256 = "356386f8ba05ae840fe815d99d9113de8d7384de60cbb24e13278bd8f617a123"
+
+
+def test_exhaustive_sweep_records_are_pinned(capsys):
+    assert main(["sweep", "--ng-max", "7", "--nh-max", "5", "--oracle-max", "4"]) == 0
+    digest = hashlib.sha256()
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        record = json.loads(line)
+        record.pop("wall_ms")
+        digest.update((json.dumps(record) + "\n").encode())
+    assert len(lines) == 4633
+    assert digest.hexdigest() == SWEEP_RECORDS_SHA256

@@ -8,7 +8,6 @@ from coronacolor import (
     MIXED,
     base_coloring,
     color_corona,
-    dispatch_case,
     edge_colors_at,
     enumerate_subcubic,
     max_degree,
@@ -44,7 +43,7 @@ def test_sort_by_product_examples():
     ec = vizing_color(tri)
     sigma = sort_by_product(ec, tri)
     prods = [1, 1, 1]
-    for (a, b), c in ec.colors.items():
+    for (a, b), c in zip(tri.edges, ec.colors):
         prods[a] *= c
         prods[b] *= c
     assert sorted(prods) == [2, 3, 6]
@@ -52,17 +51,6 @@ def test_sort_by_product_examples():
     # isolated vertices (product 1) come first
     h2 = new_graph(3, [(1, 2)])
     assert sort_by_product(vizing_color(h2), h2)[0] == 0
-
-
-def test_dispatch_case():
-    assert dispatch_case(k(2)) == "case1"
-    assert dispatch_case(new_graph(4, [(0, 1), (2, 3)])) == "case1"
-    assert dispatch_case(cycle(5)) == "case2"
-    assert dispatch_case(k(4)) == "case2"
-    assert dispatch_case(new_graph(1)) == "fallback"
-    assert dispatch_case(new_graph(3, [(0, 1)])) == "fallback"  # matching plus isolated
-    with pytest.raises(NotSubcubicError):
-        dispatch_case(new_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
 
 
 def test_hand_run_k2_k2():
@@ -89,7 +77,7 @@ def test_case12_preserves_base_and_edge_colorings():
     for j in (1, 2):
         ca = res.corona_map.copy_vertex(j, 1)
         cb = res.corona_map.copy_vertex(j, 2)
-        assert res.coloring.edge_colors[eidx[(ca, cb)]] == ec.colors[(0, 1)]
+        assert res.coloring.edge_colors[eidx[(ca, cb)]] == ec.colors[0]  # h's only edge
 
 
 def test_figure_shape_case2():
@@ -273,8 +261,8 @@ def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
     assert all(t == CASE_2 for _, t in color_corona(g, h).trace.component_cases)
     real_case2 = construct.case2_color
 
-    def broken_case2(comp, base, h, ecol, sigma, cmap, delta_g):
-        va, ea, alphas = real_case2(comp, base, h, ecol, sigma, cmap, delta_g)
+    def broken_case2(comp, base, s_min, sigma, cmap, delta_g):
+        va, ea, alphas = real_case2(comp, base, s_min, sigma, cmap, delta_g)
         v = comp[0]
         cu = cmap.copy_vertex(v + 1, sigma[0] + 1)
         if v == 0:

@@ -33,6 +33,7 @@ from coronacolor.errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
+from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
 
 
 def test_graph6_hand_decoded_literals():
@@ -101,6 +102,11 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("2 2\n0 1\n")  # fewer edges than promised
     with pytest.raises(EdgeListParseError):
         parse_edge_list("")
+    # the header alone must not make the parser allocate 10**8 adjacency lists
+    with pytest.raises(EdgeListParseError, match="line 1"):
+        parse_edge_list("100000000 0")
+    with pytest.raises(EdgeListParseError, match="line 1"):
+        parse_edge_list(f"{MAX_EDGE_LIST_VERTICES + 1} 0\n")
 
 
 def test_emit_dot():

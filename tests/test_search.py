@@ -12,7 +12,6 @@ from coronacolor import (
     new_graph,
     npdtc_search,
     verify_npd,
-    verify_nvd,
     verify_proper_total,
 )
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
@@ -27,7 +26,7 @@ def cycle(n):
     return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def brute_chi_prod(g, kmax=8, distinguish="product"):
+def brute_chi_prod(g, kmax=8):
     """Independent oracle: enumerate every total coloring outright."""
     n, m = g.n, len(g.edges)
     inc = [[] for _ in range(n)]
@@ -43,15 +42,12 @@ def brute_chi_prod(g, kmax=8, distinguish="product"):
                 continue
             if any(len({ec[t] for t in inc[v]}) != len(inc[v]) for v in range(n)):
                 continue
-            if distinguish == "product":
-                sig = []
-                for v in range(n):
-                    p = vc[v]
-                    for t in inc[v]:
-                        p *= ec[t]
-                    sig.append(p)
-            else:
-                sig = [frozenset((vc[v], *(ec[t] for t in inc[v]))) for v in range(n)]
+            sig = []
+            for v in range(n):
+                p = vc[v]
+                for t in inc[v]:
+                    p *= ec[t]
+                sig.append(p)
             if all(sig[a] != sig[b] for a, b in g.edges):
                 return kk
     return None
@@ -172,8 +168,6 @@ def test_budget_exceeded_is_distinct_from_not_found():
 def test_argument_validation():
     with pytest.raises(ValueError):
         npdtc_search(k(2), 0)
-    with pytest.raises(ValueError):
-        npdtc_search(k(2), 3, distinguish="sum")
 
 
 def test_p3_has_a_three_coloring():
@@ -181,16 +175,6 @@ def test_p3_has_a_three_coloring():
     # search that normalized the palette order would wrongly report None
     p3 = new_graph(3, [(0, 1), (1, 2)])
     assert npdtc_search(p3, 3) is not None
-
-
-def test_set_mode_matches_brute_force_and_is_below_product_index():
-    for n in range(2, 5):
-        for g in enumerate_subcubic(n):
-            s = chi_prod_exact(g, distinguish="set")
-            assert s == brute_chi_prod(g, distinguish="set"), g.edges
-            assert s <= chi_prod_exact(g)
-            tc = npdtc_search(g, s, distinguish="set")
-            assert tc is not None and verify_nvd(g, tc).ok
 
 
 def test_base_coloring():
