@@ -20,7 +20,6 @@ from .edgecolor import (
     EdgeColoring,
     chi_prime_exact,
     edge_colors_at,
-    permute_colors,
     vizing_color,
 )
 from .enumeration import canonical_form, enumerate_subcubic

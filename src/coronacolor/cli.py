@@ -12,12 +12,7 @@ from typing import TextIO
 
 from .construct import color_corona
 from .enumeration import enumerate_subcubic
-from .errors import (
-    BudgetExceededError,
-    CoronaColorError,
-    FallbackBudgetError,
-    NotSubcubicError,
-)
+from .errors import BudgetExceededError, CoronaColorError, NotSubcubicError
 from .graph import Graph, gen_random_subcubic, max_degree
 from .graphio import (
     coloring_document,
@@ -63,12 +58,12 @@ def cmd_color(args: argparse.Namespace) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = color_corona(g, h, normalize=not args.no_normalize)
+        result = color_corona(g, h)
     except NotSubcubicError as exc:
         print(f"not subcubic: {exc}", file=sys.stderr)
         return 3
-    except FallbackBudgetError as exc:
-        print(f"fallback budget exceeded: {exc}", file=sys.stderr)
+    except BudgetExceededError as exc:  # base search on G or fallback search
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"bad instance: {exc}", file=sys.stderr)
@@ -155,6 +150,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.ng_max < 1 or args.nh_max < 1 or args.count < 0:
+        print("bad instance: --ng-max and --nh-max must be at least 1, --count at least 0",
+              file=sys.stderr)
+        return 2
     if args.count:
         rng = random.Random(args.seed)
         pairs = []
@@ -234,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     c.add_argument("--out", help="write the coloring document (JSON) here")
     c.add_argument("--dot", help="write a DOT rendering here")
-    c.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="keep the raw edge coloring instead of steering color 4 off the minimum vertex",
-    )
     c.set_defaults(func=cmd_color)
 
     v = sub.add_parser("verify", help="check a coloring document against a graph")

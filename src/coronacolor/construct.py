@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .edgecolor import EdgeColoring, edge_colors_at, permute_colors, vizing_color
+from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
 from .errors import BudgetExceededError, FallbackBudgetError, NoAvoidColorError
 from .graph import (
     CoronaMap,
@@ -39,7 +39,7 @@ CASE_2 = "Case2"
 FALLBACK = "Fallback"
 MIXED = "Mixed"
 
-FALLBACK_BUDGET = 30_000_000
+FALLBACK_BUDGET = 30_000_000  # node budget of each fallback search
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class ConstructionTrace:
     component_cases pins the tag per component of the first factor.  sigma
     lists the second factor's vertices by nondecreasing edge-color product,
     ties broken by vertex index.  beta is the recoloring color of the
-    single-edge case, alphas the per-copy avoidance colors of the general
-    case, and normalized records whether edge-color classes were permuted.
+    single-edge case and alphas the per-copy avoidance colors of the general
+    case.
     """
 
     case_tag: str
@@ -60,7 +60,6 @@ class ConstructionTrace:
     beta: int | None
     alphas: tuple[tuple[int, int], ...]
     palette_bound: int
-    normalized: bool
 
 
 class ColorResult(NamedTuple):
@@ -164,31 +163,6 @@ def case2_color(
     return va, ea, alphas
 
 
-def _steer_color4_off_min_vertex(h: Graph, ecol: EdgeColoring) -> tuple[EdgeColoring, bool]:
-    """Swap color classes so the minimum-product vertex misses color 4.
-
-    Each swap trades 4 for a smaller missing color at the current minimum
-    vertex; the minimum is recomputed afterwards, and the loop stops on
-    success or on a repeated state.
-    """
-    applied = False
-    seen: set[tuple[int, ...]] = set()
-    cur = ecol
-    while True:
-        sigma = sort_by_product(cur, h)
-        s_min = edge_colors_at(h, cur, sigma[0])
-        if 4 not in s_min:
-            return cur, applied
-        if cur.colors in seen:
-            return cur, applied
-        seen.add(cur.colors)
-        gamma = min({1, 2, 3} - s_min)
-        perm = {c: c for c in range(1, cur.k + 1)}
-        perm[4], perm[gamma] = gamma, 4
-        cur = permute_colors(cur, perm)
-        applied = True
-
-
 def _corona_component(cg: Graph, cmap: CoronaMap, comp: tuple[int, ...]) -> tuple[Graph, tuple[int, ...]]:
     verts = list(comp)
     for v in comp:
@@ -206,11 +180,10 @@ def _fallback_component(
     earr: list[int],
     eidx: dict[tuple[int, int], int],
     bound: int,
-    budget: int,
 ) -> None:
     sub, verts = _corona_component(cg, cmap, comp)
     try:
-        tc = npdtc_search(sub, bound, budget)
+        tc = npdtc_search(sub, bound, FALLBACK_BUDGET)
     except BudgetExceededError as exc:
         raise FallbackBudgetError(f"fallback search exhausted on component {comp}") from exc
     if tc is None:
@@ -230,29 +203,25 @@ def _component_of(element: tuple, cmap: CoronaMap, comp_of: list[int]) -> int:
     kind, x = element
     if kind == "edge":
         x = x[0]
-    return comp_of[x if x < cmap.n_g else (x - cmap.n_g) // cmap.n_h]
+    return comp_of[cmap.role(x).j - 1]
 
 
-def color_corona(
-    g: Graph,
-    h: Graph,
-    *,
-    normalize: bool = True,
-    fallback_budget: int = FALLBACK_BUDGET,
-) -> ColorResult:
+def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
     One rule picks each component's coloring: an isolated vertex, or any
     component when h is empty, gets exact search; otherwise, when
     max_degree(g) is 1, every remaining component is a single edge and takes
-    the recolor-or-ladder case (``case1_color``); otherwise every remaining
-    component, single edges included, takes the avoidance-ladder case
-    (``case2_color``), offset by the global maximum degree so all components
-    share one palette bound.  The whole corona is then verified in one pass;
-    the components owning a violation are recolored by exact search and the
-    corona is verified again, until a pass is clean.  A violation inside a
-    component that was already searched is an internal error.
+    the recolor-or-ladder case (``case1_color``: Case1_1 when h's
+    minimum-product vertex carries edge color 4, Case1_2 otherwise);
+    otherwise every remaining component, single edges included, takes the
+    avoidance-ladder case (``case2_color``), offset by the global maximum
+    degree so all components share one palette bound.  The whole corona is
+    then verified in one pass; the components owning a violation are
+    recolored by exact search and the corona is verified again, until a pass
+    is clean.  A violation inside a component that was already searched is an
+    internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -265,14 +234,11 @@ def color_corona(
     tags = [FALLBACK] * len(comps)
     beta: int | None = None
     alphas: dict[int, int] = {}
-    normalized = False
     sigma: tuple[int, ...] = ()
     if h.n:
         base = base_coloring(g)
         ecol = vizing_color(h)
         dg = max_degree(g)
-        if dg == 1 and normalize:
-            ecol, normalized = _steer_color4_off_min_vertex(h, ecol)
         sigma = sort_by_product(ecol, h)
         s_min = edge_colors_at(h, ecol, sigma[0])
         for v in range(g.n):
@@ -302,7 +268,7 @@ def color_corona(
         for v in comp:
             comp_of[v] = ci
         if tags[ci] == FALLBACK:
-            _fallback_component(cg, cmap, comp, vcol, earr, eidx, bound, fallback_budget)
+            _fallback_component(cg, cmap, comp, vcol, earr, eidx, bound)
     while True:
         coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
         report = verify_npd(cg, coloring)
@@ -315,7 +281,7 @@ def color_corona(
             )
         for ci in flagged:
             tags[ci] = FALLBACK
-            _fallback_component(cg, cmap, comps[ci], vcol, earr, eidx, bound, fallback_budget)
+            _fallback_component(cg, cmap, comps[ci], vcol, earr, eidx, bound)
     if coloring.max_color > bound:
         raise AssertionError(f"internal: {coloring.max_color} colors exceed bound {bound}")
     unique = set(tags)
@@ -326,6 +292,5 @@ def color_corona(
         beta=beta,
         alphas=tuple(sorted(alphas.items())),
         palette_bound=bound,
-        normalized=normalized,
     )
     return ColorResult(cg, cmap, coloring, trace)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import BudgetExceededError, NotABijectionError
+from .errors import BudgetExceededError
 from .graph import Graph, max_degree
 
 
@@ -158,11 +157,3 @@ def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColorin
                 assign[t] = 0
                 t -= 1
     raise AssertionError("unreachable: max_degree+1 colors always suffice")
-
-
-def permute_colors(ecol: EdgeColoring, perm: Mapping[int, int]) -> EdgeColoring:
-    """Relabel color classes by a bijection on 1..k; properness is preserved."""
-    domain = set(range(1, ecol.k + 1))
-    if set(perm.keys()) != domain or set(perm.values()) != domain:
-        raise NotABijectionError(f"permutation must be a bijection on 1..{ecol.k}")
-    return EdgeColoring(tuple(perm[c] for c in ecol.colors), ecol.k)

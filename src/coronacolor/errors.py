@@ -53,10 +53,6 @@ class IncompleteColoringError(CoronaColorError):
     """A star product was requested before the whole star was colored."""
 
 
-class NotABijectionError(CoronaColorError):
-    """A color permutation is not a bijection on 1..k."""
-
-
 class BudgetExceededError(CoronaColorError):
     """An exact search ran out of its node-expansion budget."""
 
@@ -65,5 +61,5 @@ class NoAvoidColorError(CoronaColorError):
     """No avoidance color was available; indicates a broken precondition."""
 
 
-class FallbackBudgetError(CoronaColorError):
+class FallbackBudgetError(BudgetExceededError):
     """The fallback search for a corona component exceeded its budget."""

@@ -162,7 +162,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
         return g, cmap
     edges = list(g.edges)
     for j in range(1, g.n + 1):
-        base = g.n + (j - 1) * h.n
+        base = cmap.copy_vertex(j, 1)
         for a, b in h.edges:
             edges.append((base + a, base + b))
         vj = j - 1

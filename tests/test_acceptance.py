@@ -171,7 +171,7 @@ def test_criterion_7_case_path_coverage():
     from coronacolor import parse_graph6
 
     h = parse_graph6("EUxo")
-    res = color_corona(k(2), h, normalize=False)
+    res = color_corona(k(2), h)
     case11 = res.trace.case_tag == "Case1_1" and verify_npd(res.graph, res.coloring).ok
 
     single = color_corona(new_graph(1), k(2))
@@ -186,7 +186,7 @@ def test_criterion_7_case_path_coverage():
         and empty_h.coloring.max_color <= empty_h.trace.palette_bound
         and verify_npd(empty_h.graph, empty_h.coloring).ok
     )
-    report(7, case11 and fb1 and fb2, "Case1_1 witnessed un-normalized; fallback verified for single-vertex G and empty H")
+    report(7, case11 and fb1 and fb2, "Case1_1 witnessed with default settings; fallback verified for single-vertex G and empty H")
 
 
 def test_criterion_8_property_suite(tmp_path):

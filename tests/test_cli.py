@@ -116,9 +116,9 @@ def test_chi_budget_exit(tmp_path):
     assert main(["chi", "--graph", c5, "--budget", "1"]) == 5
 
 
-def test_color_fallback_budget_exit(tmp_path, monkeypatch):
-    from coronacolor import cli
-    from coronacolor.errors import FallbackBudgetError
+def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
+    from coronacolor import cli, construct
+    from coronacolor.errors import BudgetExceededError, FallbackBudgetError
 
     def explode(*args, **kwargs):
         raise FallbackBudgetError("forced")
@@ -126,6 +126,17 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "color_corona", explode)
     gp = write_g6(tmp_path / "g.g6", k(2))
     assert main(["color", "--g", gp, "--h", gp]) == 4
+    monkeypatch.undo()
+
+    # the base search on G runs out too: same exit code, one line, no traceback
+    def exhausted(g):
+        raise BudgetExceededError("forced base")
+
+    monkeypatch.setattr(construct, "base_coloring", exhausted)
+    capsys.readouterr()
+    assert main(["color", "--g", gp, "--h", gp]) == 4
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: forced base\n"
 
 
 def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
@@ -142,6 +153,13 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     assert main(["color", "--g", str(big), "--h", str(big), "--format", "edgelist"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "Traceback" not in err
+    # sizes no random pair can have, and a negative count
+    for bad in (["--ng-max", "0", "--nh-max", "3", "--count", "4"],
+                ["--ng-max", "3", "--nh-max", "0", "--count", "4"],
+                ["--ng-max", "3", "--nh-max", "3", "--count", "-1"]):
+        assert main(["sweep", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad instance:") and captured.out == ""
 
 
 def test_gen_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from coronacolor import (
     color_corona,
     edge_colors_at,
     enumerate_subcubic,
+    gen_random_subcubic,
     max_degree,
     new_graph,
     parse_graph6,
@@ -20,8 +21,9 @@ from coronacolor import (
 )
 from coronacolor.errors import NotSubcubicError
 
-# the only subcubic H with at most 6 vertices whose raw edge coloring puts
-# color 4 on the minimum-product vertex (found by the scan test below)
+# the only subcubic H with at most 6 vertices whose edge coloring puts color 4
+# on the minimum-product vertex, so K2∘H takes Case1_1 (found by the scan test
+# below)
 CASE11_H = "EUxo"
 
 
@@ -157,7 +159,7 @@ def test_case11_scan_finds_the_frozen_instance():
 
 def test_case11_frozen_instance():
     h = parse_graph6(CASE11_H)
-    res = color_corona(k(2), h, normalize=False)
+    res = color_corona(k(2), h)
     assert res.trace.case_tag == CASE_1_1
     assert res.trace.beta in (1, 2, 3)
     assert res.coloring.max_color <= res.trace.palette_bound
@@ -171,13 +173,6 @@ def test_case11_frozen_instance():
         assert res.coloring.vertex_colors[cu] == res.trace.beta
         key = tuple(sorted((j - 1, cu)))
         assert res.coloring.edge_colors[eidx[key]] == 5
-
-
-def test_normalization_steers_frozen_instance_to_case12():
-    h = parse_graph6(CASE11_H)
-    res = color_corona(k(2), h, normalize=True)
-    assert res.trace.case_tag == CASE_1_2
-    assert res.trace.normalized
 
 
 def test_case2_strict_product_chain():
@@ -220,11 +215,13 @@ def test_rejects_non_subcubic():
         color_corona(k(2), star)
 
 
-def test_fallback_budget_error():
+def test_fallback_budget_error(monkeypatch):
+    from coronacolor import construct
     from coronacolor.errors import FallbackBudgetError
 
+    monkeypatch.setattr(construct, "FALLBACK_BUDGET", 1)
     with pytest.raises(FallbackBudgetError):
-        color_corona(new_graph(1), k(2), fallback_budget=1)
+        color_corona(new_graph(1), k(2))
 
 
 # SHA-256 over color_corona's output on every pair enumerate_subcubic(ng) x
@@ -249,6 +246,33 @@ def test_output_is_pinned_on_small_pairs():
                 pairs += 1
     assert pairs == 1854
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+# SHA-256 of the same records over single-edge G (K2, 3K2, K2+K1) times every
+# H with 6 or 7 vertices and 200 random 10-vertex H (1,236 pairs, 45 of them
+# with a Case1_1 component): max_degree(G) = 1 follows the Case1_1/Case1_2
+# split with no relabeling of H's edge colors
+SINGLE_EDGE_G_SHA256 = "85c78dfd2babd3a8cd5df91e2e80253a150e3dfbc5d53b009b7d03a5aaafa73b"
+
+
+def test_single_edge_g_output_is_pinned():
+    import hashlib
+
+    gs = [k(2), new_graph(6, [(0, 1), (2, 3), (4, 5)]), new_graph(3, [(0, 1)])]
+    hs = [*enumerate_subcubic(6), *enumerate_subcubic(7)]
+    hs += [gen_random_subcubic(10, s) for s in range(200)]
+    digest = hashlib.sha256()
+    pairs = case11 = 0
+    for g in gs:
+        for h in hs:
+            res = color_corona(g, h)
+            c, t = res.coloring, res.trace
+            record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
+            digest.update(repr(record).encode() + b"\n")
+            pairs += 1
+            case11 += any(tag == CASE_1_1 for _, tag in t.component_cases)
+    assert (pairs, case11) == (1236, 45)
+    assert digest.hexdigest() == SINGLE_EDGE_G_SHA256
 
 
 def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):

@@ -12,10 +12,9 @@ from coronacolor import (
     gen_random_subcubic,
     max_degree,
     new_graph,
-    permute_colors,
     vizing_color,
 )
-from coronacolor.errors import BudgetExceededError, NotABijectionError
+from coronacolor.errors import BudgetExceededError
 
 
 def k(n):
@@ -129,27 +128,6 @@ def test_chi_prime_budget():
     g = gen_random_subcubic(40, 3)
     with pytest.raises(BudgetExceededError):
         chi_prime_exact(g, budget=5)
-
-
-def test_permute_colors():
-    g = new_graph(2, [(0, 1)])
-    ec = vizing_color(g)
-    assert permute_colors(ec, {1: 1, 2: 2}) == ec
-    swapped = permute_colors(ec, {1: 2, 2: 1})
-    assert swapped.colors == (2,)
-    with pytest.raises(NotABijectionError):
-        permute_colors(ec, {1: 1, 2: 1})
-    with pytest.raises(NotABijectionError):
-        permute_colors(ec, {1: 2})
-    # any permutation keeps properness
-    rng = random.Random(9)
-    for seed in range(20):
-        h = gen_random_subcubic(12, seed)
-        ec = vizing_color(h)
-        perm = list(range(1, ec.k + 1))
-        rng.shuffle(perm)
-        mapped = permute_colors(ec, {i + 1: perm[i] for i in range(ec.k)})
-        assert_proper(h, mapped)
 
 
 def test_products_and_color_sets():
