@@ -11,8 +11,6 @@ from .construct import (
     MIXED,
     ColorResult,
     ConstructionTrace,
-    case1_color,
-    case2_color,
     color_corona,
     sort_by_product,
 )

@@ -89,7 +89,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph, args.format)
         doc = parse_coloring_json(Path(args.coloring).read_text(encoding="utf-8"))
-    except (CoronaColorError, OSError) as exc:
+    except (CoronaColorError, OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if doc.n != g.n or doc.edges != g.edges:
@@ -104,7 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_chi(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph, args.format)
-    except (CoronaColorError, OSError) as exc:
+    except (CoronaColorError, OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:

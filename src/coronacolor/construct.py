@@ -2,15 +2,19 @@
 
 The corona of two subcubic graphs is colored from two ingredients: a
 distinguishing total coloring of the first factor and a bounded proper edge
-coloring of the second.  Copy vertices are laid out along the second
-factor's vertices sorted by edge-color product, which makes the products
-inside each copy strictly increasing.  Components outside the structured
-cases are colored by exact search within the same palette bound.  One
-verifier pass over the whole corona then checks the assembled coloring;
-components owning a violation are recolored by exact search and the corona
-is checked again (a proper-coloring clash hides product collisions from the
-verifier, so one pass can miss components), until a pass is clean.  Every
-returned coloring is verified.
+coloring of the second.  Every copy of the second factor is laid out along
+one ladder: sigma, its vertices sorted by edge-color product.  With
+dg = max_degree(G), position pos >= 2 of sigma gets vertex color dg+pos+2,
+and every position gets spoke color dg+pos+3, so the products inside each
+copy rise strictly.  The cases differ only in the vertex color at position
+1: dg+3 = 4 in Case1_2, beta in Case1_1 (which also recolors the component
+edge and its ends), and the avoidance color alpha_j in Case2.  Components
+outside the structured cases are colored by exact search within the same
+palette bound.  One verifier pass over the whole corona then checks the
+assembled coloring; components owning a violation are recolored by exact
+search and the corona is checked again (a proper-coloring clash hides
+product collisions from the verifier, so one pass can miss components),
+until a pass is clean.  Every returned coloring is verified.
 """
 
 from __future__ import annotations
@@ -78,98 +82,28 @@ def sort_by_product(ecol: EdgeColoring, h: Graph) -> tuple[int, ...]:
     return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
-def case1_color(
-    v1: int,
-    v2: int,
-    s_min: frozenset[int],
-    sigma: tuple[int, ...],
-    cmap: CoronaMap,
-) -> tuple[dict[int, int], dict[tuple[int, int], int], str, int | None]:
-    """Colors for one single-edge component of G and its two copies of H.
+def min_copy_color(
+    v: int, base: TotalColoring, s_min: frozenset[int], delta_g: int
+) -> tuple[int, str]:
+    """Color of copy v+1's minimum vertex sigma[0] and the case it follows.
 
-    s_min is the set of edge colors at the minimum-product vertex sigma[0].
-    When color 4 misses that vertex, the base coloring of the component is
-    kept and copy position i gets vertex color i+3 under corona edge color
-    i+4.  Otherwise the component edge and both minimum copy vertices are
-    recolored to the smallest color of {1,2,3} missing there, their corona
-    edges get 5, the endpoints take the two remaining small colors, and
-    positions from 2 on follow the same ladder.
+    s_min is the set of edge colors at sigma[0].  When max_degree(G) is 1 the
+    color is 4 (Case1_2) while color 4 misses sigma[0], else beta, the
+    smallest color of {1,2,3} missing there (Case1_1); otherwise it is
+    alpha_j, the smallest color of 1..5 missing from s_min and v's own color
+    (Case2).
     """
-    u_min = sigma[0]
-    va: dict[int, int] = {}
-    ea: dict[tuple[int, int], int] = {}
-    if 4 not in s_min:
-        tag, beta, start = CASE_1_2, None, 1
-    else:
-        free = sorted({1, 2, 3} - s_min)
+    if delta_g == 1:
+        if 4 not in s_min:
+            return 4, CASE_1_2
+        free = {1, 2, 3} - s_min
         if not free:
             raise NoAvoidColorError("no color of {1,2,3} misses the minimum-product vertex")
-        beta = free[0]
-        rest = sorted({1, 2, 3} - {beta})
-        va[v1], va[v2] = rest[0], rest[1]
-        ea[(v1, v2)] = beta
-        for vj, j in ((v1, v1 + 1), (v2, v2 + 1)):
-            cu = cmap.copy_vertex(j, u_min + 1)
-            va[cu] = beta
-            ea[(vj, cu)] = 5
-        tag, start = CASE_1_1, 2
-    for pos in range(start, len(sigma) + 1):
-        hu = sigma[pos - 1]
-        for vj, j in ((v1, v1 + 1), (v2, v2 + 1)):
-            cu = cmap.copy_vertex(j, hu + 1)
-            va[cu] = pos + 3
-            ea[(vj, cu)] = pos + 4
-    return va, ea, tag, beta
-
-
-def case2_color(
-    comp: tuple[int, ...],
-    base: TotalColoring,
-    s_min: frozenset[int],
-    sigma: tuple[int, ...],
-    cmap: CoronaMap,
-    delta_g: int,
-) -> tuple[dict[int, int], dict[tuple[int, int], int], dict[int, int]]:
-    """Ladder coloring of one component's copies when max_degree(G) is 2 or 3.
-
-    Every copy j starts with an avoidance color alpha_j, the smallest color
-    of 1..5 missing from both s_min, the minimum copy vertex's edge colors,
-    and v_j's own color; later positions climb above the base palette.
-    """
-    u_min = sigma[0]
-    va: dict[int, int] = {}
-    ea: dict[tuple[int, int], int] = {}
-    alphas: dict[int, int] = {}
-    for v in comp:
-        j = v + 1
-        forbidden = set(s_min)
-        forbidden.add(base.vertex_colors[v])
-        alpha = None
-        for c in (1, 2, 3, 4, 5):
-            if c not in forbidden:
-                alpha = c
-                break
-        if alpha is None:
-            raise NoAvoidColorError("all of 1..5 forbidden; impossible for degree <= 3")
-        alphas[j] = alpha
-        cu = cmap.copy_vertex(j, u_min + 1)
-        va[cu] = alpha
-        ea[(v, cu)] = delta_g + 4
-        for pos in range(2, len(sigma) + 1):
-            hu = sigma[pos - 1]
-            cu = cmap.copy_vertex(j, hu + 1)
-            va[cu] = delta_g + pos + 2
-            ea[(v, cu)] = delta_g + pos + 3
-    return va, ea, alphas
-
-
-def _corona_component(cg: Graph, cmap: CoronaMap, comp: tuple[int, ...]) -> tuple[Graph, tuple[int, ...]]:
-    verts = list(comp)
-    for v in comp:
-        j = v + 1
-        for i in range(1, cmap.n_h + 1):
-            verts.append(cmap.copy_vertex(j, i))
-    return subgraph(cg, verts)
+        return min(free), CASE_1_1
+    for c in (1, 2, 3, 4, 5):
+        if c not in s_min and c != base.vertex_colors[v]:
+            return c, CASE_2
+    raise NoAvoidColorError("all of 1..5 forbidden; impossible for degree <= 3")
 
 
 def _fallback_component(
@@ -181,7 +115,10 @@ def _fallback_component(
     eidx: dict[tuple[int, int], int],
     bound: int,
 ) -> None:
-    sub, verts = _corona_component(cg, cmap, comp)
+    verts = list(comp)
+    for v in comp:
+        verts.extend(cmap.copy_vertex(v + 1, i) for i in range(1, cmap.n_h + 1))
+    sub, verts = subgraph(cg, verts)
     try:
         tc = npdtc_search(sub, bound, FALLBACK_BUDGET)
     except BudgetExceededError as exc:
@@ -211,17 +148,18 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     max_degree(g∘h)+3 colors.
 
     One rule picks each component's coloring: an isolated vertex, or any
-    component when h is empty, gets exact search; otherwise, when
-    max_degree(g) is 1, every remaining component is a single edge and takes
-    the recolor-or-ladder case (``case1_color``: Case1_1 when h's
-    minimum-product vertex carries edge color 4, Case1_2 otherwise);
-    otherwise every remaining component, single edges included, takes the
-    avoidance-ladder case (``case2_color``), offset by the global maximum
-    degree so all components share one palette bound.  The whole corona is
-    then verified in one pass; the components owning a violation are
-    recolored by exact search and the corona is verified again, until a pass
-    is clean.  A violation inside a component that was already searched is an
-    internal error.
+    component when h is empty, gets exact search; every other component
+    keeps the base coloring of g and lays each of its copies along one
+    ladder over sigma, offset by the global maximum degree dg so all
+    components share one palette bound.  Position pos gets spoke color
+    dg+pos+3 and, from pos 2 on, vertex color dg+pos+2.  Position 1 gets
+    4 (Case1_2), beta (Case1_1: dg is 1 and h's minimum-product vertex
+    carries edge color 4; the component edge takes beta too and its ends the
+    other two colors of {1,2,3}) or alpha_j (Case2: dg is 2 or 3), as picked
+    by ``min_copy_color``.  The whole corona is then verified in one pass;
+    the components owning a violation are recolored by exact search and the
+    corona is verified again, until a pass is clean.  A violation inside a
+    component that was already searched is an internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -252,17 +190,19 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
                 continue
-            if dg == 1:
-                va, ea, tag, beta = case1_color(comp[0], comp[1], s_min, sigma, cmap)
-            else:
-                va, ea, comp_alphas = case2_color(comp, base, s_min, sigma, cmap, dg)
-                alphas.update(comp_alphas)
-                tag = CASE_2
-            for x, c in va.items():
-                vcol[x] = c
-            for e, c in ea.items():
-                earr[eidx[e]] = c
-            tags[ci] = tag
+            for v in comp:
+                first, tags[ci] = min_copy_color(v, base, s_min, dg)
+                if tags[ci] == CASE_2:
+                    alphas[v + 1] = first
+                off = cmap.copy_vertex(v + 1, 1)
+                for pos, u in enumerate(sigma, 1):
+                    vcol[off + u] = first if pos == 1 else dg + pos + 2
+                    earr[eidx[(v, off + u)]] = dg + pos + 3
+            if tags[ci] == CASE_1_1:
+                beta = first
+                v1, v2 = comp
+                vcol[v1], vcol[v2] = sorted({1, 2, 3} - {beta})
+                earr[eidx[(v1, v2)]] = beta
     comp_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in comp:

@@ -213,11 +213,19 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     return best
 
 
+def _instance_summary(g: Graph) -> str:
+    """n, the edge count and the first four edges of g, for an error message."""
+    head = ", ".join(map(str, g.edges[:4]))
+    more = ", ..." if len(g.edges) > 4 else ""
+    return f"n={g.n} edges={len(g.edges)} [{head}{more}]"
+
+
 def base_coloring(g: Graph, budget: int = BASE_BUDGET) -> TotalColoring:
     """Distinguishing total coloring of a subcubic graph with max_degree+3 colors.
 
     Existence is guaranteed for subcubic graphs, so an exhausted search is an
-    internal error and both failure paths dump the instance for a bug report.
+    internal error and both failure paths summarize the instance for a bug
+    report.
     """
     require_subcubic(g)
     k = max_degree(g) + 3
@@ -225,8 +233,8 @@ def base_coloring(g: Graph, budget: int = BASE_BUDGET) -> TotalColoring:
         tc = npdtc_search(g, k, budget)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"base coloring budget exhausted; n={g.n} edges={list(g.edges)}"
+            f"base coloring budget exhausted; {_instance_summary(g)}"
         ) from exc
     if tc is None:
-        raise AssertionError(f"no (max_degree+3) coloring found; n={g.n} edges={list(g.edges)}")
+        raise AssertionError(f"no (max_degree+3) coloring found; {_instance_summary(g)}")
     return tc

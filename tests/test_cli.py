@@ -160,6 +160,18 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
         assert main(["sweep", *bad]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("bad instance:") and captured.out == ""
+    # bytes that are not UTF-8
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(b"\xff\xfe\x00b")
+    doc = tmp_path / "c.json"
+    assert main(["chi", "--graph", gp, "--out", str(doc)]) == 0
+    capsys.readouterr()
+    for args in (["chi", "--graph", str(raw)],
+                 ["verify", "--graph", str(raw), "--coloring", str(doc)],
+                 ["verify", "--graph", gp, "--coloring", str(raw)]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:") and "Traceback" not in captured.err
 
 
 def test_gen_command(tmp_path, capsys):

@@ -176,19 +176,25 @@ def test_case11_frozen_instance():
 
 
 def test_case2_strict_product_chain():
-    for g in (k(3), cycle(4), k(4)):
-        for hn in range(1, 5):
-            for h in enumerate_subcubic(hn):
-                res = color_corona(g, h)
-                if res.trace.case_tag != CASE_2:
-                    continue
-                sigma = res.trace.sigma
-                for j in range(1, g.n + 1):
-                    chain = [
-                        product_at(res.graph, res.coloring, res.corona_map.copy_vertex(j, u + 1))
-                        for u in sigma
-                    ]
-                    assert all(a < b for a, b in zip(chain, chain[1:]))
+    # the ladder is shared: every structured case, Case1 included
+    three_k2 = new_graph(6, [(0, 1), (2, 3), (4, 5)])
+    hs = [h for hn in range(1, 5) for h in enumerate_subcubic(hn)]
+    hs.append(parse_graph6(CASE11_H))
+    tags = set()
+    for g in (k(2), three_k2, k(3), cycle(4), k(4)):
+        for h in hs:
+            res = color_corona(g, h)
+            if res.trace.case_tag not in (CASE_1_1, CASE_1_2, CASE_2):
+                continue
+            tags.add(res.trace.case_tag)
+            sigma = res.trace.sigma
+            for j in range(1, g.n + 1):
+                chain = [
+                    product_at(res.graph, res.coloring, res.corona_map.copy_vertex(j, u + 1))
+                    for u in sigma
+                ]
+                assert all(a < b for a, b in zip(chain, chain[1:]))
+    assert tags == {CASE_1_1, CASE_1_2, CASE_2}
 
 
 def test_palette_bound_holds_on_sample():
@@ -283,21 +289,20 @@ def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
                        (9, 10), (9, 11), (9, 12)])
     h = k(2)
     assert all(t == CASE_2 for _, t in color_corona(g, h).trace.component_cases)
-    real_case2 = construct.case2_color
+    real_pick = construct.min_copy_color
 
-    def broken_case2(comp, base, s_min, sigma, cmap, delta_g):
-        va, ea, alphas = real_case2(comp, base, s_min, sigma, cmap, delta_g)
-        v = comp[0]
-        cu = cmap.copy_vertex(v + 1, sigma[0] + 1)
+    def broken_pick(v, base, s_min, delta_g):
+        color, tag = real_pick(v, base, s_min, delta_g)
         if v == 0:
             # product collision only: v's product is star_G(v) times its two
             # corona edge colors delta_g+4 and delta_g+5; the copy vertex's is
             # its own color times delta_g+4 and the H edge's color 1
-            va[cu] = product_at(g, base, v) * (delta_g + 5)
+            color = product_at(g, base, v) * (delta_g + 5)
         elif v == 6:
-            # proper clash inside copy 7, so the violation names copy vertices
-            va[cmap.copy_vertex(v + 1, sigma[1] + 1)] = va[cu]
-        return va, ea, alphas
+            # proper clash inside copy 7: position 1 takes position 2's color,
+            # so the violation names copy vertices
+            color = delta_g + 4
+        return color, tag
 
     verify_calls = []
     real_verify = construct.verify_npd
@@ -307,7 +312,7 @@ def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
         verify_calls.append(sorted({v.kind for v in report.violations}))
         return report
 
-    monkeypatch.setattr(construct, "case2_color", broken_case2)
+    monkeypatch.setattr(construct, "min_copy_color", broken_pick)
     monkeypatch.setattr(construct, "verify_npd", counting_verify)
     res = color_corona(g, h)
     assert verify_npd(res.graph, res.coloring).ok

@@ -163,6 +163,10 @@ def test_budget_exceeded_is_distinct_from_not_found():
     assert npdtc_search(k(2), 2, budget=1) is None  # pre-cut, no nodes spent
     with pytest.raises(BudgetExceededError, match="edges"):
         base_coloring(cycle(6), budget=1)  # message carries the instance
+    # ... but only a summary of it, not the whole edge list
+    with pytest.raises(BudgetExceededError, match="edges") as info:
+        base_coloring(gen_random_subcubic(2000, 1), budget=10)
+    assert len(str(info.value)) < 200
 
 
 def test_argument_validation():
