@@ -16,7 +16,6 @@ from .construct import (
 )
 from .edgecolor import (
     EdgeColoring,
-    chi_prime_exact,
     edge_colors_at,
     vizing_color,
 )
@@ -61,7 +60,6 @@ from .search import (
 from .verify import (
     VerifyReport,
     Violation,
-    product_at,
     report_to_json,
     verify_npd,
     verify_nvd,

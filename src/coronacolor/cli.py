@@ -15,12 +15,15 @@ from .enumeration import enumerate_subcubic
 from .errors import BudgetExceededError, CoronaColorError, NotSubcubicError
 from .graph import Graph, gen_random_subcubic, max_degree
 from .graphio import (
+    MAX_EDGE_LIST_VERTICES,
+    MAX_GRAPH6_BYTES,
     coloring_document,
     document_coloring,
     emit_coloring_json,
     emit_dot,
     emit_edge_list,
     emit_graph6,
+    graph6_length,
     parse_coloring_json,
     parse_edge_list,
     parse_graph6,
@@ -132,6 +135,15 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # checked before anything is built: the graph and its text grow with n
+    if args.n > MAX_EDGE_LIST_VERTICES:
+        print(f"bad instance: {args.n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}",
+              file=sys.stderr)
+        return 2
+    if args.format == "graph6" and graph6_length(args.n) > MAX_GRAPH6_BYTES:
+        print(f"bad instance: graph6 text for {args.n} vertices exceeds "
+              f"{MAX_GRAPH6_BYTES} bytes; use --format edgelist", file=sys.stderr)
+        return 2
     try:
         g = gen_random_subcubic(args.n, args.seed)
     except ValueError as exc:

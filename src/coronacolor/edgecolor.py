@@ -1,10 +1,9 @@
-"""Proper edge colorings: constructive bounded palette and an exact minimum oracle."""
+"""Proper edge colorings with the constructive bounded palette of Vizing's theorem."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
 from .graph import Graph, max_degree
 
 
@@ -111,49 +110,3 @@ def vizing_color(h: Graph) -> EdgeColoring:
             assign(u, fan[j - 1], cj)
         assign(u, fan[w_idx], d)
     return EdgeColoring(tuple(col[a][b] for a, b in h.edges), k)
-
-
-def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColoring]:
-    """Minimum number of colors in a proper edge coloring, with a witness.
-
-    Backtracking over edges in canonical order; the t-th edge may only use
-    colors 1..min(t, k), which loses no solutions because any coloring can be
-    relabeled by order of first use.  The budget counts attempted assignments.
-    """
-    m = len(h.edges)
-    if m == 0:
-        return 1, EdgeColoring((), 1)
-    adj_edges: list[list[int]] = [[] for _ in range(m)]
-    inc: list[list[int]] = [[] for _ in range(h.n)]
-    for t, (a, b) in enumerate(h.edges):
-        for s in inc[a] + inc[b]:
-            adj_edges[t].append(s)
-            adj_edges[s].append(t)
-        inc[a].append(t)
-        inc[b].append(t)
-    nodes = 0
-    delta = max_degree(h)
-    for kk in range(delta, delta + 2):
-        assign = [0] * m
-        t = 0
-        while t >= 0:
-            if t == m:
-                return kk, EdgeColoring(tuple(assign), kk)
-            limit = min(t + 1, kk)
-            c = assign[t] + 1
-            placed = False
-            while c <= limit:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceededError(f"chi_prime_exact exceeded {budget} nodes")
-                if all(assign[s] != c for s in adj_edges[t]):
-                    placed = True
-                    break
-                c += 1
-            if placed:
-                assign[t] = c
-                t += 1
-            else:
-                assign[t] = 0
-                t -= 1
-    raise AssertionError("unreachable: max_degree+1 colors always suffice")

@@ -153,22 +153,31 @@ class CoronaMap:
 def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     """Corona product: one copy of g plus g.n copies of h, v_j joined to all of copy j.
 
-    With an empty second factor the product is g itself.
+    The graph is built directly in canonical order, with no sort or
+    revalidation: for each v_j in turn, its g-edges to larger vertices and
+    then its spokes in copy order, followed by each copy's shifted h.edges.
+    Every adjacency tuple comes out sorted as well.  With an empty second
+    factor the product is g itself.
     """
     if g.n < 1:
         raise ValueError("corona needs at least one vertex in the first factor")
     cmap = CoronaMap(g.n, h.n)
     if h.n == 0:
         return g, cmap
-    edges = list(g.edges)
-    for j in range(1, g.n + 1):
-        base = cmap.copy_vertex(j, 1)
-        for a, b in h.edges:
-            edges.append((base + a, base + b))
-        vj = j - 1
-        for i in range(h.n):
-            edges.append((vj, base + i))
-    return new_graph(cmap.n, edges), cmap
+    # copy j's vertices in h's order; the edges and adjacency tuples below
+    # share these int objects instead of allocating their own
+    copies = [tuple(range(base, base + h.n))
+              for base in (cmap.copy_vertex(j, 1) for j in range(1, g.n + 1))]
+    edges: list[tuple[int, int]] = []
+    adj: list[tuple[int, ...]] = []
+    for v, copy in enumerate(copies):
+        edges += [(v, w) for w in g.adj[v] if w > v]
+        edges += [(v, x) for x in copy]
+        adj.append(g.adj[v] + copy)
+    for v, copy in enumerate(copies):
+        edges += [(copy[a], copy[b]) for a, b in h.edges]
+        adj += [(v, *[copy[w] for w in nb]) for nb in h.adj]
+    return Graph(cmap.n, tuple(adj), tuple(edges)), cmap
 
 
 def gen_random_subcubic(n: int, seed: int) -> Graph:

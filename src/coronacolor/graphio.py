@@ -29,6 +29,10 @@ GRAPH6_HEADER = ">>graph6<<"
 # gigabytes.  A 2**20-vertex graph takes about 100 MB.
 MAX_EDGE_LIST_VERTICES = 1 << 20
 
+# The graph6 text of an n-vertex graph is about n*n/12 bytes whatever its
+# edges, so gen refuses to write one longer than this (n above about 40,000).
+MAX_GRAPH6_BYTES = 1 << 27
+
 
 def _decode_size(vals: list[int]) -> tuple[int, int]:
     if vals[0] != 63:
@@ -90,6 +94,11 @@ def parse_graph6(line: str) -> Graph:
                 j = (1 + isqrt(1 + 8 * b)) // 2
                 edges.append((b - j * (j - 1) // 2, j))
     return new_graph(n, edges)
+
+
+def graph6_length(n: int) -> int:
+    """Length of the graph6 text (no header) of any graph on n vertices."""
+    return len(_encode_size(n)) + (n * (n - 1) // 2 + 5) // 6
 
 
 def emit_graph6(g: Graph) -> str:
@@ -226,6 +235,8 @@ def document_coloring(doc: ColoringDocument) -> TotalColoring:
 
 
 def emit_coloring_json(doc: ColoringDocument) -> str:
+    """One top-level key per line, each value (arrays included) on its line
+    in compact JSON: a valid JSON object, read back by parse_coloring_json."""
     payload = {
         "n": doc.n,
         "edges": [list(e) for e in doc.edges],
@@ -236,7 +247,11 @@ def emit_coloring_json(doc: ColoringDocument) -> str:
         if doc.corona_map is None
         else {"n_g": doc.corona_map.n_g, "n_h": doc.corona_map.n_h},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    fields = (
+        f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+        for key, value in payload.items()
+    )
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _as_int(payload: dict, key: str) -> int:

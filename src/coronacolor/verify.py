@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, IncompleteColoringError
+from .errors import DimensionMismatchError
 from .graph import Graph
 from .search import TotalColoring
 
@@ -59,22 +59,6 @@ def _products(g: Graph, coloring: TotalColoring, inc: list[list[int]]) -> dict[i
         for t in inc[v]:
             p *= ecol[t]
         out[v] = p
-    return out
-
-
-def product_at(g: Graph, coloring: TotalColoring, v: int) -> int:
-    """Exact product of v's color and the colors of its incident edges."""
-    _check_cover(g, coloring)
-    p = coloring.vertex_colors[v]
-    star = [p]
-    for t, (a, b) in enumerate(g.edges):
-        if a == v or b == v:
-            star.append(coloring.edge_colors[t])
-    if any(c is None or c < 1 for c in star):
-        raise IncompleteColoringError(f"star of vertex {v} is not fully colored")
-    out = 1
-    for c in star:
-        out *= c
     return out
 
 

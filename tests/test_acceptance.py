@@ -11,7 +11,6 @@ import time
 from itertools import combinations
 
 from coronacolor import (
-    chi_prime_exact,
     chi_prod_exact,
     color_corona,
     corona,
@@ -24,11 +23,11 @@ from coronacolor import (
     new_graph,
     npdtc_search,
     parse_coloring_json,
-    product_at,
     verify_npd,
     vizing_color,
 )
 from coronacolor.cli import main
+from oracles import chi_prime_exact, product_at
 
 
 def report(num, ok, detail):

@@ -141,6 +141,15 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
 
 def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     assert main(["gen", "--n", "0"]) == 2
+    # vertex counts past the edge-list limit, or whose graph6 text would run
+    # to gigabytes, are refused before a graph or its text is built
+    for args in (["--n", "10000000000"], ["--n", "10000000000", "--format", "edgelist"],
+                 ["--n", "300000"]):
+        capsys.readouterr()
+        assert main(["gen", *args, "--out", str(tmp_path / "big.out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad instance:") and "Traceback" not in captured.err
+        assert not (tmp_path / "big.out").exists()
     empty = tmp_path / "empty.g6"
     empty.write_text("?\n", encoding="utf-8")  # zero-vertex graph
     gp = write_g6(tmp_path / "g.g6", k(2))

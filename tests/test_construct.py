@@ -14,12 +14,12 @@ from coronacolor import (
     max_degree,
     new_graph,
     parse_graph6,
-    product_at,
     sort_by_product,
     verify_npd,
     vizing_color,
 )
 from coronacolor.errors import NotSubcubicError
+from oracles import product_at
 
 # the only subcubic H with at most 6 vertices whose edge coloring puts color 4
 # on the minimum-product vertex, so K2∘H takes Case1_1 (found by the scan test

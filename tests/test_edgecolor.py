@@ -6,7 +6,6 @@ from math import prod
 import pytest
 
 from coronacolor import (
-    chi_prime_exact,
     edge_colors_at,
     enumerate_subcubic,
     gen_random_subcubic,
@@ -15,6 +14,7 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.errors import BudgetExceededError
+from oracles import chi_prime_exact
 
 
 def k(n):

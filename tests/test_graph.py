@@ -6,6 +6,7 @@ from coronacolor import (
     GVertex,
     connected_components,
     corona,
+    enumerate_subcubic,
     gen_random_subcubic,
     is_connected,
     max_degree,
@@ -100,6 +101,40 @@ def test_corona_is_deterministic():
     a = corona(cycle(4), k(3))
     b = corona(cycle(4), k(3))
     assert a[0] == b[0] and a[1] == b[1]
+
+
+def reference_corona(g, h):
+    """The corona as built through new_graph (validate, hash, sort every edge),
+    kept verbatim as the reference for the direct build."""
+    if g.n < 1:
+        raise ValueError("corona needs at least one vertex in the first factor")
+    cmap = CoronaMap(g.n, h.n)
+    if h.n == 0:
+        return g, cmap
+    edges = list(g.edges)
+    for j in range(1, g.n + 1):
+        base = cmap.copy_vertex(j, 1)
+        for a, b in h.edges:
+            edges.append((base + a, base + b))
+        vj = j - 1
+        for i in range(h.n):
+            edges.append((vj, base + i))
+    return new_graph(cmap.n, edges), cmap
+
+
+def test_corona_matches_reference_build():
+    gs = [g for n in range(1, 7) for g in enumerate_subcubic(n, connected=True)]
+    hs = [new_graph(0)] + [h for n in range(1, 5) for h in enumerate_subcubic(n)]
+    pairs = [(g, h) for g in gs for h in hs]
+    random_h = gen_random_subcubic(10, 3)
+    for n in (1, 50, 2000):
+        for seed in (0, 1):
+            g = gen_random_subcubic(n, seed)
+            pairs += [(g, new_graph(0)), (g, new_graph(1)), (g, random_h)]
+    for g, h in pairs:
+        cg, cmap = corona(g, h)
+        ref, ref_map = reference_corona(g, h)
+        assert (cg.n, cg.adj, cg.edges, cmap) == (ref.n, ref.adj, ref.edges, ref_map)
 
 
 def test_corona_map_roles_partition():

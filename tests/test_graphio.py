@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -156,7 +157,7 @@ def test_coloring_json_rejects_bad_documents():
     doc = ColoringDocument(2, ((0, 1),), (1, 2), (3,), 3)
     good = emit_coloring_json(doc)
     with pytest.raises(ColorOutOfRangeError):
-        parse_coloring_json(good.replace('"vertex_colors": [\n    1,', '"vertex_colors": [\n    0,'))
+        parse_coloring_json(good.replace('"vertex_colors": [1,', '"vertex_colors": [0,'))
     with pytest.raises(SchemaViolationError):
         parse_coloring_json("{}")
     with pytest.raises(SchemaViolationError):
@@ -169,6 +170,27 @@ def test_coloring_json_rejects_bad_documents():
         parse_coloring_json('{"n": 2, "edges": [[0, 1]], "vertex_colors": [1], "edge_colors": [3], "max_color": 3}')
     with pytest.raises(SchemaViolationError, match="nonnegative"):
         parse_coloring_json('{"n": -1, "edges": [], "vertex_colors": [], "edge_colors": [], "max_color": 1}')
+
+
+def test_coloring_json_layout():
+    res = color_corona(new_graph(3, [(0, 1), (1, 2)]), new_graph(3, [(0, 1), (1, 2)]))
+    doc = coloring_document(res.graph, res.coloring, res.corona_map)
+    text = emit_coloring_json(doc)
+    payload = json.loads(text)
+    lines = text.splitlines()
+    # one line per top-level key between the braces
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert len(lines) == len(payload) + 2
+    for line, key in zip(lines[1:-1], payload):
+        name, value = line.rstrip(",").split(": ", 1)
+        assert json.loads(name) == key
+        # the whole value, arrays included, sits on its key's line
+        assert json.loads(value) == payload[key]
+    assert parse_coloring_json(text) == doc
+    # documents written with one number per line stay readable
+    old = json.dumps(payload, indent=2) + "\n"
+    assert len(old.splitlines()) > 2 * len(doc.vertex_colors)
+    assert parse_coloring_json(old) == doc
 
 
 def test_constructed_coloring_document_reverifies():

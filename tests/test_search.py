@@ -213,7 +213,8 @@ def test_products_use_exact_integers():
     g = new_graph(31, [(0, i) for i in range(1, 31)])
     colors = tuple([31] + [1] * 30)
     edge_colors = tuple(range(32, 62))
-    from coronacolor import TotalColoring, product_at
+    from coronacolor import TotalColoring
+    from oracles import product_at
 
     tc = TotalColoring(colors, edge_colors, 61)
     expected = 31

@@ -6,7 +6,6 @@ from coronacolor import (
     TotalColoring,
     color_corona,
     new_graph,
-    product_at,
     report_to_json,
     verify_npd,
     verify_nvd,
@@ -21,6 +20,7 @@ from coronacolor.verify import (
     VERTEX_EDGE_CLASH,
     VERTEX_VERTEX_CLASH,
 )
+from oracles import product_at
 
 K2 = new_graph(2, [(0, 1)])
 K2_GOOD = TotalColoring((1, 2), (3,), 3)
