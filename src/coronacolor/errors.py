@@ -49,10 +49,6 @@ class DimensionMismatchError(CoronaColorError):
     """A coloring does not cover the graph it is paired with."""
 
 
-class IncompleteColoringError(CoronaColorError):
-    """A star product was requested before the whole star was colored."""
-
-
 class BudgetExceededError(CoronaColorError):
     """An exact search ran out of its node-expansion budget."""
 

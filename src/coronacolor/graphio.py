@@ -9,7 +9,6 @@ from math import isqrt
 from .errors import (
     BadCharError,
     ColorOutOfRangeError,
-    CoronaColorError,
     DimensionMismatchError,
     DuplicateEdgeError,
     EdgeListParseError,
@@ -288,8 +287,8 @@ def parse_coloring_json(text: str) -> ColoringDocument:
     ):
         raise SchemaViolationError("edges must be a list of [a, b] integer pairs")
     edges = tuple((e[0], e[1]) for e in raw_edges)
-    # the color lists come first: their lengths tie n to the size of the text
-    # before a graph on n vertices is built
+    # the color lists' lengths tie n to the size of the text, so a document
+    # cannot make document_graph build a graph far larger than the text
     for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
         col = payload[key]
         if not isinstance(col, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in col):
@@ -299,12 +298,21 @@ def parse_coloring_json(text: str) -> ColoringDocument:
         for c in col:
             if not 1 <= c <= max_color:
                 raise ColorOutOfRangeError(f"color {c} outside 1..{max_color}")
-    try:
-        new_graph(n, edges)
-    except CoronaColorError as exc:
-        raise SchemaViolationError(f"bad edge list: {exc}") from exc
-    if list(edges) != sorted(edges) or any(a >= b for a, b in edges):
-        raise SchemaViolationError("edges must be sorted pairs in canonical order")
+    # canonical order: 0 <= a < b < n in every edge, edges strictly increasing
+    prev = (-1, -1)
+    for e in edges:
+        a, b = e
+        if not (0 <= a < n and 0 <= b < n):
+            raise SchemaViolationError(
+                f"bad edge list: edge ({a},{b}) has an endpoint outside 0..{n - 1}"
+            )
+        if a == b:
+            raise SchemaViolationError(f"bad edge list: self-loop at vertex {a}")
+        if e == prev:
+            raise SchemaViolationError(f"bad edge list: duplicate edge {e}")
+        if a > b or e < prev:
+            raise SchemaViolationError("edges must be sorted pairs in canonical order")
+        prev = e
     raw_map = payload.get("corona_map")
     corona_map = None
     if raw_map is not None:

@@ -57,21 +57,32 @@ def _element_order(conf: list[list[int]]) -> list[int]:
     The next element is the unchosen one with the largest key (score,
     conflict degree, -id), where an element's score counts its conflicts
     against elements already ordered; so ties break toward more conflicts,
-    then toward the smaller id.  A lazy max-heap holds the keys: a score
-    increase pushes a fresh entry and leaves the old one in place.  Scores
-    only grow, so an element's entry with its current score outranks its
-    stale ones and is popped first; a popped entry of an element already
+    then toward the smaller id.  The order depends on the graph alone, never
+    on colors, which is what lets ``npdtc_search`` fix each depth's forward
+    conflicts once.
+
+    A lazy min-heap holds each key packed into one int,
+    ``-((score * D + degree) * S) + id`` with D (``span``) the largest
+    conflict degree plus 1 and S (``stride``) = T + 1.  Since 0 <= degree < D and 0 <= id < S, the int
+    orders exactly like the tuple (-score, -degree, id), and ``key % S``
+    gives the id back; comparing ints is cheaper than comparing tuples.  A
+    score increase pushes a fresh entry and leaves the old one in place.
+    Scores only grow, so an element's entry with its current score outranks
+    its stale ones and is popped first; a popped entry of an element already
     ordered is stale and dropped.  The order therefore equals a full rescan
     for the maximum at every pick.
     """
     total = len(conf)
+    span = max(map(len, conf), default=0) + 1
+    stride = total + 1
     score = [0] * total
     chosen = [False] * total
-    heap = [(0, -len(conf[e]), e) for e in range(total)]
+    heap = [e - len(conf[e]) * stride for e in range(total)]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
     while heap:
-        e = heapq.heappop(heap)[2]
+        e = pop(heap) % stride
         if chosen[e]:
             continue
         chosen[e] = True
@@ -79,7 +90,7 @@ def _element_order(conf: list[list[int]]) -> list[int]:
         for s in conf[e]:
             if not chosen[s]:
                 score[s] += 1
-                heapq.heappush(heap, (-score[s], -len(conf[s]), s))
+                push(heap, s - (score[s] * span + len(conf[s])) * stride)
     return order
 
 
@@ -96,6 +107,13 @@ def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColorin
     star completes, and a branch dies early when two adjacent completed stars
     agree.  Raises BudgetExceededError when the node budget runs out, which is
     distinct from an exhaustive None.
+
+    The order is static, so at depth d exactly order[:d] is colored, and the
+    uncolored conflicts of order[d] are exactly those placed after it.  That
+    forward list is built on the first visit to d and then serves every color
+    tried there, both to ban the color and to lift the ban again.  A depth is
+    re-entered with its element still colored, and the color is taken off
+    before the next one is tried.
     """
     if k < 1:
         raise ValueError("palette size must be positive")
@@ -122,19 +140,50 @@ def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColorin
     star_left = [deg[v] + 1 for v in range(n)]
     sig = [1] * n
     adjacency = g.adj
-
-    def apply(e: int, c: int) -> tuple[list[int], bool]:
-        dead = False
-        bumped: list[int] = []
-        for s in conf[e]:
-            if color[s] == 0:
+    ahead: list[list[int] | None] = [None] * total
+    last = [0] * total
+    nodes = 0
+    depth = 0
+    while True:
+        if depth == total:
+            return TotalColoring(tuple(color[:n]), tuple(color[n:]), max(color))
+        e = order[depth]
+        fwd = ahead[depth]
+        c = last[depth]
+        if c:  # re-entered with e still colored c
+            color[e] = 0
+            for v in owners[e]:
+                star_left[v] += 1
+                sig[v] //= c
+            for s in fwd:
                 bs = banned[s]
-                bs[c] += 1
-                bumped.append(s)
-                if bs[c] == 1:
-                    avail[s] -= 1
-                    if avail[s] == 0:
-                        dead = True
+                bs[c] -= 1
+                if bs[c] == 0:
+                    avail[s] += 1
+        elif fwd is None:
+            fwd = ahead[depth] = [s for s in conf[e] if color[s] == 0]
+        be = banned[e]
+        c += 1
+        while c <= k and be[c]:
+            c += 1
+        if c > k:
+            last[depth] = 0
+            depth -= 1
+            if depth < 0:
+                return None
+            continue
+        last[depth] = c
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"npdtc_search exceeded {budget} nodes")
+        dead = False
+        for s in fwd:
+            bs = banned[s]
+            bs[c] += 1
+            if bs[c] == 1:
+                avail[s] -= 1
+                if avail[s] == 0:
+                    dead = True
         color[e] = c
         for v in owners[e]:
             star_left[v] -= 1
@@ -145,48 +194,8 @@ def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColorin
                     if star_left[w] == 0 and sig[w] == sv:
                         dead = True
                         break
-        return bumped, dead
-
-    def revert(e: int, c: int, bumped: list[int]) -> None:
-        color[e] = 0
-        for v in owners[e]:
-            star_left[v] += 1
-            sig[v] //= c
-        for s in bumped:
-            bs = banned[s]
-            bs[c] -= 1
-            if bs[c] == 0:
-                avail[s] += 1
-
-    nodes = 0
-    depth = 0
-    last = [0] * (total + 1)
-    trail: list[list[int]] = [[] for _ in range(total)]
-    while True:
-        if depth == total:
-            return TotalColoring(tuple(color[:n]), tuple(color[n:]), max(color))
-        e = order[depth]
-        be = banned[e]
-        c = last[depth] + 1
-        while c <= k and be[c]:
-            c += 1
-        if c > k:
-            last[depth] = 0
-            depth -= 1
-            if depth < 0:
-                return None
-            revert(order[depth], last[depth], trail[depth])
-            continue
-        last[depth] = c
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"npdtc_search exceeded {budget} nodes")
-        bumped, dead = apply(e, c)
-        if dead:
-            revert(e, c, bumped)
-            continue
-        trail[depth] = bumped
-        depth += 1
+        if not dead:
+            depth += 1
 
 
 def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -1,18 +1,22 @@
 """Exact reference computations that the tests check the package against.
 
-They are brute force by design: ``chi_prime_exact`` is the oracle for
-``vizing_color``'s palette bound, and ``product_at`` recomputes one closed-star
-product by scanning every edge, independently of ``verify``'s incidence lists.
+``chi_prime_exact`` and ``product_at`` are brute force by design:
+``chi_prime_exact`` is the oracle for ``vizing_color``'s palette bound, and
+``product_at`` recomputes one closed-star product by scanning every edge,
+independently of ``verify``'s incidence lists.  ``reference_npdtc_search`` is
+the exact search kernel in its earlier form, kept to show that the current one
+visits the same search tree.
 """
 
 from __future__ import annotations
 
 from coronacolor import EdgeColoring, Graph, TotalColoring, max_degree
-from coronacolor.errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    IncompleteColoringError,
-)
+from coronacolor.errors import BudgetExceededError, CoronaColorError, DimensionMismatchError
+from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _element_order
+
+
+class IncompleteColoringError(CoronaColorError):
+    """A star product was requested before the whole star was colored."""
 
 
 def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColoring]:
@@ -76,3 +80,115 @@ def product_at(g: Graph, coloring: TotalColoring, v: int) -> int:
     for c in star:
         out *= c
     return out
+
+
+def reference_npdtc_search(
+    g: Graph, k: int, budget: int = DEFAULT_BUDGET
+) -> tuple[TotalColoring | None, int]:
+    """The earlier ``npdtc_search``, unchanged except that it also returns the
+    number of search nodes it spent, so the kernel can be held to the same
+    tree node for node.  Its own docstring follows.
+
+    Proper total [k]-coloring with distinct star products across every edge, or None.
+
+    Elements (vertices, then edges in canonical order) are colored in
+    most-constrained-first order, colors ascending.  That order is computed
+    once, before the search, by ``_element_order``: each next element has the
+    most conflicts against those already ordered, ties broken by conflict
+    degree and then by the smaller id, so backtracking causes stay recent.
+    Every color of the palette is tried at every element, so an exhaustive
+    None is a proof of absence.  A star's product is checked as soon as the
+    star completes, and a branch dies early when two adjacent completed stars
+    agree.  Raises BudgetExceededError when the node budget runs out, which is
+    distinct from an exhaustive None.
+    """
+    if k < 1:
+        raise ValueError("palette size must be positive")
+    n, m = g.n, len(g.edges)
+    total = n + m
+    if total == 0:
+        return TotalColoring((), (), 1), 0
+    deg = [len(nb) for nb in g.adj]
+    if max(deg, default=0) + 1 > k:
+        return None, 0
+    for a, b in g.edges:
+        # both stars would need the whole palette, forcing equal products
+        if deg[a] + 1 == k and deg[b] + 1 == k:
+            return None, 0
+
+    conf = _conflict_lists(g)
+    owners: list[tuple[int, ...]] = [(v,) for v in range(n)]
+    owners.extend(g.edges)
+    order = _element_order(conf)
+
+    color = [0] * total
+    banned = [[0] * (k + 1) for _ in range(total)]
+    avail = [k] * total
+    star_left = [deg[v] + 1 for v in range(n)]
+    sig = [1] * n
+    adjacency = g.adj
+
+    def apply(e: int, c: int) -> tuple[list[int], bool]:
+        dead = False
+        bumped: list[int] = []
+        for s in conf[e]:
+            if color[s] == 0:
+                bs = banned[s]
+                bs[c] += 1
+                bumped.append(s)
+                if bs[c] == 1:
+                    avail[s] -= 1
+                    if avail[s] == 0:
+                        dead = True
+        color[e] = c
+        for v in owners[e]:
+            star_left[v] -= 1
+            sig[v] *= c
+            if star_left[v] == 0:
+                sv = sig[v]
+                for w in adjacency[v]:
+                    if star_left[w] == 0 and sig[w] == sv:
+                        dead = True
+                        break
+        return bumped, dead
+
+    def revert(e: int, c: int, bumped: list[int]) -> None:
+        color[e] = 0
+        for v in owners[e]:
+            star_left[v] += 1
+            sig[v] //= c
+        for s in bumped:
+            bs = banned[s]
+            bs[c] -= 1
+            if bs[c] == 0:
+                avail[s] += 1
+
+    nodes = 0
+    depth = 0
+    last = [0] * (total + 1)
+    trail: list[list[int]] = [[] for _ in range(total)]
+    while True:
+        if depth == total:
+            return TotalColoring(tuple(color[:n]), tuple(color[n:]), max(color)), nodes
+        e = order[depth]
+        be = banned[e]
+        c = last[depth] + 1
+        while c <= k and be[c]:
+            c += 1
+        if c > k:
+            last[depth] = 0
+            depth -= 1
+            if depth < 0:
+                return None, nodes
+            revert(order[depth], last[depth], trail[depth])
+            continue
+        last[depth] = c
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"npdtc_search exceeded {budget} nodes")
+        bumped, dead = apply(e, c)
+        if dead:
+            revert(e, c, bumped)
+            continue
+        trail[depth] = bumped
+        depth += 1

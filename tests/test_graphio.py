@@ -170,6 +170,18 @@ def test_coloring_json_rejects_bad_documents():
         parse_coloring_json('{"n": 2, "edges": [[0, 1]], "vertex_colors": [1], "edge_colors": [3], "max_color": 3}')
     with pytest.raises(SchemaViolationError, match="nonnegative"):
         parse_coloring_json('{"n": -1, "edges": [], "vertex_colors": [], "edge_colors": [], "max_color": 1}')
+    three = '{"n": 3, "edges": %s, "vertex_colors": [1, 2, 3], "edge_colors": [4, 5], "max_color": 5}'
+    for edges, why in (
+        ("[[0, 1], [1, 3]]", "bad edge list: edge"),  # endpoint out of range
+        ("[[0, 1], [-1, 2]]", "bad edge list: edge"),
+        ("[[0, 1], [2, 2]]", "bad edge list: self-loop"),
+        ("[[0, 1], [0, 1]]", "bad edge list: duplicate"),
+        ("[[0, 2], [0, 1]]", "canonical order"),  # not increasing
+        ("[[0, 1], [2, 1]]", "canonical order"),  # pair not sorted
+    ):
+        with pytest.raises(SchemaViolationError, match=why):
+            parse_coloring_json(three % edges)
+    assert parse_coloring_json(three % "[[0, 1], [1, 2]]").edges == ((0, 1), (1, 2))
 
 
 def test_coloring_json_layout():

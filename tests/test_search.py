@@ -16,6 +16,7 @@ from coronacolor import (
 )
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
 from coronacolor.search import _conflict_lists, _element_order
+from oracles import reference_npdtc_search
 
 
 def k(n):
@@ -87,6 +88,34 @@ def test_element_order_matches_reference_scan():
     for g in graphs:
         conf = _conflict_lists(g)
         assert _element_order(conf) == reference_element_order(conf), g.edges
+
+
+def test_search_visits_the_reference_tree():
+    # the kernel must return the reference's result within exactly the
+    # reference's node count N, and run out of budget one node earlier
+    cases = [
+        (g, kk)
+        for n in range(1, 7)
+        for g in enumerate_subcubic(n)
+        for kk in range(max_degree(g) + 1, max_degree(g) + 4)
+    ]
+    p3 = new_graph(3, [(0, 1), (1, 2)])
+    coronas = [corona(k(1), k(2))[0], corona(k(2), k(3))[0], corona(p3, k(2))[0]]
+    cases += [(g, max_degree(g) + kk) for g in coronas for kk in (1, 2, 3)]
+    cases += [(g, max_degree(g) + 3) for g in (gen_random_subcubic(300, s) for s in range(4))]
+    for g, kk in cases:
+        want, nodes = reference_npdtc_search(g, kk)
+        assert npdtc_search(g, kk, budget=nodes) == want, (g.edges, kk)
+        if nodes:
+            with pytest.raises(BudgetExceededError):
+                npdtc_search(g, kk, budget=nodes - 1)
+
+
+def test_k5_has_no_six_coloring():
+    # the one proof of absence the exhaustive sweep's oracle rests on:
+    # K1 joined to K4 is K5, whose index is 7, not 6
+    assert npdtc_search(k(5), 6) is None
+    assert chi_prod_exact(corona(k(1), k(4))[0]) == 7
 
 
 def test_k2_search():

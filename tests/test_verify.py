@@ -11,7 +11,7 @@ from coronacolor import (
     verify_nvd,
     verify_proper_total,
 )
-from coronacolor.errors import DimensionMismatchError, IncompleteColoringError
+from coronacolor.errors import DimensionMismatchError
 from coronacolor.verify import (
     COLOR_OUT_OF_RANGE,
     EDGE_EDGE_CLASH,
@@ -20,7 +20,7 @@ from coronacolor.verify import (
     VERTEX_EDGE_CLASH,
     VERTEX_VERTEX_CLASH,
 )
-from oracles import product_at
+from oracles import IncompleteColoringError, product_at
 
 K2 = new_graph(2, [(0, 1)])
 K2_GOOD = TotalColoring((1, 2), (3,), 3)
