@@ -30,7 +30,6 @@ from .graph import (
     edge_index,
     gen_random_subcubic,
     is_connected,
-    is_subcubic,
     max_degree,
     new_graph,
     require_subcubic,

@@ -1,4 +1,8 @@
-"""Command-line interface: color, verify, chi, gen and sweep subcommands."""
+"""Command-line interface: color, verify, chi, gen and sweep subcommands.
+
+A command returns its exit code or raises ``_Failure`` with a documented code
+and its one stderr line, which ``main`` alone prints; anything else tracebacks.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +11,9 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, Iterator, TextIO, TypeVar
 
 from .construct import color_corona
 from .enumeration import enumerate_subcubic
@@ -31,56 +36,81 @@ from .graphio import (
 from .search import DEFAULT_BUDGET, chi_prod_exact, npdtc_search
 from .verify import report_to_json, verify_npd, verify_nvd
 
+T = TypeVar("T")
+
+
+class _Failure(Exception):
+    """_Failure(code, line): main prints line on stderr and returns code."""
+
+
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """parse(text of path); a read, decode or parse failure is a parse error (2)."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (CoronaColorError, OSError, ValueError) as exc:
+        raise _Failure(2, f"parse error: {exc}") from exc
+
+
+def _parse_graph6_file(text: str) -> Graph:
+    """The first non-blank line of text, as graph6."""
+    for line in text.splitlines():
+        if line.strip():
+            return parse_graph6(line)
+    return parse_graph6(text)
+
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    text = Path(path).read_text(encoding="utf-8")
-    if fmt == "graph6":
-        for line in text.splitlines():
-            if line.strip():
-                return parse_graph6(line)
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    return _read(path, _parse_graph6_file if fmt == "graph6" else parse_edge_list)
 
 
-def _emit_graph(g: Graph, fmt: str) -> str:
-    if fmt == "graph6":
-        return emit_graph6(g) + "\n"
-    return emit_edge_list(g)
+def _write(path: str | None, text: str, code: int = 2) -> None:
+    """Write text to path, or to stdout without one; an OSError is a write error."""
+    try:
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise _Failure(code, f"write error: {exc}") from exc
 
 
-def _write_error(exc: OSError) -> int:
-    print(f"write error: {exc}", file=sys.stderr)
-    return 2
+@contextmanager
+def _computing(budget_code: int = 4) -> Iterator[None]:  # 4 in color, 5 in chi
+    """Raise the library's documented failures inside as CLI failures."""
+    try:
+        yield
+    except NotSubcubicError as exc:
+        raise _Failure(3, f"not subcubic: {exc}") from exc
+    except BudgetExceededError as exc:  # base search on G or fallback search
+        raise _Failure(budget_code, f"budget exceeded: {exc}") from exc
+    except ValueError as exc:
+        raise _Failure(2, f"bad instance: {exc}") from exc
+
+
+# Size checks run before anything is built: coronas and graph6 texts grow with n.
+def _check_corona(n_g: int, n_h: int) -> None:
+    if n_g * (1 + n_h) > MAX_EDGE_LIST_VERTICES:
+        raise _Failure(2, f"bad instance: a corona of {n_g} and {n_h} vertices exceeds "
+                          f"the limit of {MAX_EDGE_LIST_VERTICES} vertices")
+
+
+def _check_graph6(n: int, hint: str = "") -> None:
+    if graph6_length(n) > MAX_GRAPH6_BYTES:
+        raise _Failure(2, f"bad instance: graph6 text for {n} vertices exceeds "
+                          f"{MAX_GRAPH6_BYTES} bytes{hint}")
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.g, args.format)
-        h = _read_graph(args.h, args.format)
-    except (CoronaColorError, OSError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
+    g = _read_graph(args.g, args.format)
+    h = _read_graph(args.h, args.format)
+    _check_corona(g.n, h.n)
+    with _computing():
         result = color_corona(g, h)
-    except NotSubcubicError as exc:
-        print(f"not subcubic: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as exc:  # base search on G or fallback search
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"bad instance: {exc}", file=sys.stderr)
-        return 2
     doc = coloring_document(result.graph, result.coloring, result.corona_map)
-    try:
-        if args.out:
-            Path(args.out).write_text(emit_coloring_json(doc), encoding="utf-8")
-        if args.dot:
-            Path(args.dot).write_text(
-                emit_dot(result.graph, result.coloring, result.corona_map), encoding="utf-8"
-            )
-    except OSError as exc:
-        return _write_error(exc)
+    if args.out:
+        _write(args.out, emit_coloring_json(doc))
+    if args.dot:
+        _write(args.dot, emit_dot(result.graph, result.coloring, result.corona_map))
     print(
         f"case={result.trace.case_tag} "
         f"max_color={result.coloring.max_color} bound={result.trace.palette_bound}"
@@ -89,15 +119,10 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph, args.format)
-        doc = parse_coloring_json(Path(args.coloring).read_text(encoding="utf-8"))
-    except (CoronaColorError, OSError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    g = _read_graph(args.graph, args.format)
+    doc = _read(args.coloring, parse_coloring_json)
     if doc.n != g.n or doc.edges != g.edges:
-        print("parse error: coloring document does not describe the given graph", file=sys.stderr)
-        return 2
+        raise _Failure(2, "parse error: coloring document does not describe the given graph")
     coloring = document_coloring(doc)
     report = verify_npd(g, coloring) if args.mode == "product" else verify_nvd(g, coloring)
     print(report_to_json(report))
@@ -105,67 +130,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph, args.format)
-    except (CoronaColorError, OSError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
+    g = _read_graph(args.graph, args.format)
+    with _computing(budget_code=5):
         value = chi_prod_exact(g, args.budget)
         witness = npdtc_search(g, value, args.budget)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"bad instance: {exc}", file=sys.stderr)
-        return 2
     print(value)
     if witness is None:
-        print("internal error: witness search failed at the computed value", file=sys.stderr)
-        return 5
-    text = emit_coloring_json(coloring_document(g, witness))
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            return _write_error(exc)
-    else:
-        sys.stdout.write(text)
+        raise _Failure(5, "internal error: witness search failed at the computed value")
+    _write(args.out, emit_coloring_json(coloring_document(g, witness)))
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    # checked before anything is built: the graph and its text grow with n
     if args.n > MAX_EDGE_LIST_VERTICES:
-        print(f"bad instance: {args.n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}",
-              file=sys.stderr)
-        return 2
-    if args.format == "graph6" and graph6_length(args.n) > MAX_GRAPH6_BYTES:
-        print(f"bad instance: graph6 text for {args.n} vertices exceeds "
-              f"{MAX_GRAPH6_BYTES} bytes; use --format edgelist", file=sys.stderr)
-        return 2
-    try:
+        raise _Failure(2, f"bad instance: {args.n} vertices exceed the limit of "
+                          f"{MAX_EDGE_LIST_VERTICES}")
+    if args.format == "graph6":
+        _check_graph6(args.n, "; use --format edgelist")
+    with _computing():
         g = gen_random_subcubic(args.n, args.seed)
-    except ValueError as exc:
-        print(f"bad instance: {exc}", file=sys.stderr)
-        return 2
-    text = _emit_graph(g, args.format)
-    try:
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"write error: {exc}", file=sys.stderr)
-        return 1
+    text = emit_graph6(g) + "\n" if args.format == "graph6" else emit_edge_list(g)
+    _write(args.out, text, code=1)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.ng_max < 1 or args.nh_max < 1 or args.count < 0:
-        print("bad instance: --ng-max and --nh-max must be at least 1, --count at least 0",
-              file=sys.stderr)
-        return 2
+        raise _Failure(2, "bad instance: --ng-max and --nh-max must be at least 1, "
+                          "--count at least 0")
+    # each pair's corona is built and both factors go into its record as graph6
+    _check_corona(args.ng_max, args.nh_max)
+    _check_graph6(max(args.ng_max, args.nh_max))
     if args.count:
         rng = random.Random(args.seed)
         pairs = []
@@ -187,7 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             with open(args.log, "a", encoding="utf-8") as out:
                 return _sweep_pairs(pairs, args.oracle_max, out)
         except OSError as exc:
-            return _write_error(exc)
+            raise _Failure(2, f"write error: {exc}") from exc
     return _sweep_pairs(pairs, args.oracle_max, sys.stdout)
 
 
@@ -207,8 +202,7 @@ def _sweep_pairs(pairs: list[tuple[Graph, Graph]], oracle_max: int, out: TextIO)
                 if chi > bound:
                     raise AssertionError(f"exact index {chi} exceeds bound {bound}")
         except Exception as exc:  # any failure here falsifies the bound or flags a bug
-            print(f"counterexample: g={g6g} h={g6h}: {exc}", file=sys.stderr)
-            return 1
+            raise _Failure(1, f"counterexample: g={g6g} h={g6h}: {exc}") from exc
         wall_ms = (time.perf_counter() - start) * 1000.0
         record = {
             "g6_g": g6g,
@@ -281,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        code, line = exc.args
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

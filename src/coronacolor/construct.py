@@ -53,16 +53,13 @@ class ConstructionTrace:
     case_tag summarizes the whole run (Mixed when components differ);
     component_cases pins the tag per component of the first factor.  sigma
     lists the second factor's vertices by nondecreasing edge-color product,
-    ties broken by vertex index.  beta is the recoloring color of the
-    single-edge case and alphas the per-copy avoidance colors of the general
-    case.
+    ties broken by vertex index.  The position-1 color of copy j (beta or
+    alpha_j) is the coloring's color of u^j_{sigma[0]+1}.
     """
 
     case_tag: str
     sigma: tuple[int, ...]
     component_cases: tuple[tuple[tuple[int, ...], str], ...]
-    beta: int | None
-    alphas: tuple[tuple[int, int], ...]
     palette_bound: int
 
 
@@ -170,8 +167,6 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     earr = [0] * len(cg.edges)
     comps = connected_components(g)
     tags = [FALLBACK] * len(comps)
-    beta: int | None = None
-    alphas: dict[int, int] = {}
     sigma: tuple[int, ...] = ()
     if h.n:
         base = base_coloring(g)
@@ -192,17 +187,14 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
                 continue
             for v in comp:
                 first, tags[ci] = min_copy_color(v, base, s_min, dg)
-                if tags[ci] == CASE_2:
-                    alphas[v + 1] = first
                 off = cmap.copy_vertex(v + 1, 1)
                 for pos, u in enumerate(sigma, 1):
                     vcol[off + u] = first if pos == 1 else dg + pos + 2
                     earr[eidx[(v, off + u)]] = dg + pos + 3
-            if tags[ci] == CASE_1_1:
-                beta = first
+            if tags[ci] == CASE_1_1:  # first is beta
                 v1, v2 = comp
-                vcol[v1], vcol[v2] = sorted({1, 2, 3} - {beta})
-                earr[eidx[(v1, v2)]] = beta
+                vcol[v1], vcol[v2] = sorted({1, 2, 3} - {first})
+                earr[eidx[(v1, v2)]] = first
     comp_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in comp:
@@ -229,8 +221,6 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         case_tag=tags[0] if len(unique) == 1 else MIXED,
         sigma=sigma,
         component_cases=tuple((comp, tags[ci]) for ci, comp in enumerate(comps)),
-        beta=beta,
-        alphas=tuple(sorted(alphas.items())),
         palette_bound=bound,
     )
     return ColorResult(cg, cmap, coloring, trace)

@@ -55,10 +55,6 @@ def max_degree(g: Graph) -> int:
     return max((len(nb) for nb in g.adj), default=0)
 
 
-def is_subcubic(g: Graph) -> bool:
-    return max_degree(g) <= 3
-
-
 def require_subcubic(g: Graph) -> None:
     d = max_degree(g)
     if d > 3:
@@ -130,11 +126,6 @@ class CoronaMap:
     @property
     def n(self) -> int:
         return self.n_g * (1 + self.n_h)
-
-    def g_vertex(self, j: int) -> int:
-        if not 1 <= j <= self.n_g:
-            raise ValueError(f"j={j} outside 1..{self.n_g}")
-        return j - 1
 
     def copy_vertex(self, j: int, i: int) -> int:
         if not (1 <= j <= self.n_g and 1 <= i <= self.n_h):

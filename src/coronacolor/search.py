@@ -16,7 +16,7 @@ from .errors import BudgetExceededError
 from .graph import Graph, connected_components, max_degree, require_subcubic, subgraph
 
 DEFAULT_BUDGET = 5_000_000
-BASE_BUDGET = 50_000_000
+BASE_BUDGET = 50_000_000  # node budget of base_coloring's search, read at call time
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _instance_summary(g: Graph) -> str:
     return f"n={g.n} edges={len(g.edges)} [{head}{more}]"
 
 
-def base_coloring(g: Graph, budget: int = BASE_BUDGET) -> TotalColoring:
+def base_coloring(g: Graph) -> TotalColoring:
     """Distinguishing total coloring of a subcubic graph with max_degree+3 colors.
 
     Existence is guaranteed for subcubic graphs, so an exhausted search is an
@@ -239,7 +239,7 @@ def base_coloring(g: Graph, budget: int = BASE_BUDGET) -> TotalColoring:
     require_subcubic(g)
     k = max_degree(g) + 3
     try:
-        tc = npdtc_search(g, k, budget)
+        tc = npdtc_search(g, k, BASE_BUDGET)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"base coloring budget exhausted; {_instance_summary(g)}"

@@ -20,6 +20,12 @@ def write_g6(path, g):
     return str(path)
 
 
+def assert_one_line(err, prefix):
+    """A documented failure: exactly one stderr line with its prefix, no traceback."""
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+
+
 def test_color_k2_k2(tmp_path, capsys):
     gp = write_g6(tmp_path / "g.g6", k(2))
     out = tmp_path / "col.json"
@@ -70,30 +76,38 @@ def test_verify_detects_product_tampering(tmp_path, capsys):
     assert payload["violations"][0]["witness"] == [30, 30]
 
 
-def test_verify_schema_error(tmp_path):
+def test_verify_schema_error(tmp_path, capsys):
     gp = write_g6(tmp_path / "g.g6", k(2))
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 1}", encoding="utf-8")
     assert main(["verify", "--graph", gp, "--coloring", str(bad)]) == 2
+    assert_one_line(capsys.readouterr().err, "parse error:")
 
 
-def test_verify_graph_document_mismatch(tmp_path):
+def test_verify_graph_document_mismatch(tmp_path, capsys):
     gp = write_g6(tmp_path / "g.g6", k(2))
     out = tmp_path / "col.json"
     assert main(["color", "--g", gp, "--h", gp, "--out", str(out)]) == 0
+    capsys.readouterr()
     # the document describes the corona, not the two-vertex factor
     assert main(["verify", "--graph", gp, "--coloring", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert_one_line(captured.err, "parse error:")
+    assert captured.out == ""
 
 
-def test_color_exit_codes(tmp_path):
+def test_color_exit_codes(tmp_path, capsys):
     star = new_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     sp = write_g6(tmp_path / "s.g6", star)
     gp = write_g6(tmp_path / "g.g6", k(2))
     assert main(["color", "--g", sp, "--h", gp]) == 3
+    assert_one_line(capsys.readouterr().err, "not subcubic:")
     junk = tmp_path / "junk.g6"
     junk.write_text("!!!not graph6!!!\n", encoding="utf-8")
     assert main(["color", "--g", str(junk), "--h", gp]) == 2
+    assert_one_line(capsys.readouterr().err, "parse error:")
     assert main(["color", "--g", str(tmp_path / "missing.g6"), "--h", gp]) == 2
+    assert_one_line(capsys.readouterr().err, "parse error:")
 
 
 def test_chi_command(tmp_path, capsys):
@@ -111,9 +125,22 @@ def test_chi_command(tmp_path, capsys):
     assert int(capsys.readouterr().out.strip()) <= 5
 
 
-def test_chi_budget_exit(tmp_path):
+def test_chi_budget_exit(tmp_path, capsys):
     c5 = write_g6(tmp_path / "c5.g6", new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
     assert main(["chi", "--graph", c5, "--budget", "1"]) == 5
+    assert_one_line(capsys.readouterr().err, "budget exceeded:")
+
+
+def test_chi_internal_error_exit(tmp_path, monkeypatch, capsys):
+    from coronacolor import cli
+
+    # a witness search that finds nothing at the value the oracle computed
+    monkeypatch.setattr(cli, "npdtc_search", lambda g, k, budget: None)
+    gp = write_g6(tmp_path / "g.g6", k(2))
+    assert main(["chi", "--graph", gp]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "3\n"
+    assert_one_line(captured.err, "internal error:")
 
 
 def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
@@ -126,6 +153,7 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "color_corona", explode)
     gp = write_g6(tmp_path / "g.g6", k(2))
     assert main(["color", "--g", gp, "--h", gp]) == 4
+    assert_one_line(capsys.readouterr().err, "budget exceeded:")
     monkeypatch.undo()
 
     # the base search on G runs out too: same exit code, one line, no traceback
@@ -141,34 +169,45 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
 
 def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     assert main(["gen", "--n", "0"]) == 2
+    assert_one_line(capsys.readouterr().err, "bad instance:")
     # vertex counts past the edge-list limit, or whose graph6 text would run
     # to gigabytes, are refused before a graph or its text is built
     for args in (["--n", "10000000000"], ["--n", "10000000000", "--format", "edgelist"],
                  ["--n", "300000"]):
-        capsys.readouterr()
         assert main(["gen", *args, "--out", str(tmp_path / "big.out")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("bad instance:") and "Traceback" not in captured.err
+        assert_one_line(capsys.readouterr().err, "bad instance:")
         assert not (tmp_path / "big.out").exists()
     empty = tmp_path / "empty.g6"
     empty.write_text("?\n", encoding="utf-8")  # zero-vertex graph
     gp = write_g6(tmp_path / "g.g6", k(2))
     assert main(["color", "--g", str(empty), "--h", gp]) == 2
+    assert_one_line(capsys.readouterr().err, "bad instance:")
     assert main(["chi", "--graph", str(empty)]) == 2
+    assert_one_line(capsys.readouterr().err, "bad instance:")
     # a 12-byte header promising 10**8 vertices
     big = tmp_path / "big.el"
     big.write_text("100000000 0", encoding="utf-8")
-    capsys.readouterr()
     assert main(["color", "--g", str(big), "--h", str(big), "--format", "edgelist"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("parse error:") and "Traceback" not in err
-    # sizes no random pair can have, and a negative count
+    assert_one_line(capsys.readouterr().err, "parse error:")
+    # two factors within the limit whose corona has 10**10 vertices: refused
+    # before the corona is built
+    wide = tmp_path / "wide.el"
+    wide.write_text("100000 0\n", encoding="utf-8")
+    assert main(["color", "--g", str(wide), "--h", str(wide), "--format", "edgelist"]) == 2
+    captured = capsys.readouterr()
+    assert_one_line(captured.err, "bad instance:")
+    assert captured.out == ""
+    # sizes no random pair can have, a negative count, a corona past the
+    # limit, and a factor whose graph6 record would run to gigabytes
     for bad in (["--ng-max", "0", "--nh-max", "3", "--count", "4"],
                 ["--ng-max", "3", "--nh-max", "0", "--count", "4"],
-                ["--ng-max", "3", "--nh-max", "3", "--count", "-1"]):
+                ["--ng-max", "3", "--nh-max", "3", "--count", "-1"],
+                ["--ng-max", "100000", "--nh-max", "100000", "--count", "1"],
+                ["--ng-max", "1", "--nh-max", "500000", "--count", "1"]):
         assert main(["sweep", *bad]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("bad instance:") and captured.out == ""
+        assert_one_line(captured.err, "bad instance:")
+        assert captured.out == ""
     # bytes that are not UTF-8
     raw = tmp_path / "raw.bin"
     raw.write_bytes(b"\xff\xfe\x00b")
@@ -179,8 +218,7 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
                  ["verify", "--graph", str(raw), "--coloring", str(doc)],
                  ["verify", "--graph", gp, "--coloring", str(raw)]):
         assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("parse error:") and "Traceback" not in captured.err
+        assert_one_line(capsys.readouterr().err, "parse error:")
 
 
 def test_gen_command(tmp_path, capsys):
@@ -257,7 +295,7 @@ def test_sweep_streams_records_before_a_counterexample(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "color_corona", failing_third)
     log = tmp_path / "log.jsonl"
     assert main(["sweep", "--ng-max", "2", "--nh-max", "2", "--log", str(log)]) == 1
-    assert "counterexample" in capsys.readouterr().err
+    assert_one_line(capsys.readouterr().err, "counterexample: ")
     records = [json.loads(x) for x in log.read_text().splitlines()]
     assert [(r["g6_g"], r["g6_h"]) for r in records] == [
         (emit_graph6(g), emit_graph6(h)) for g, h in calls[:2]
@@ -275,11 +313,11 @@ def test_unwritable_outputs_exit_2_without_traceback(tmp_path, capsys):
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("write error: ") and "Traceback" not in err, argv
+        assert_one_line(capsys.readouterr().err, "write error: ")
     assert not (tmp_path / "no").exists()
     # gen keeps its own code for the same failure
     assert main(["gen", "--n", "3", "--out", str(missing / "g.g6")]) == 1
+    assert_one_line(capsys.readouterr().err, "write error: ")
 
 
 # SHA-256 of the records of `sweep --ng-max 7 --nh-max 5 --oracle-max 4`

@@ -88,8 +88,9 @@ def test_figure_shape_case2():
     assert res.coloring.max_color <= 9
     assert res.trace.palette_bound == 9
     assert verify_npd(res.graph, res.coloring).ok
-    assert len(res.trace.alphas) == 3
-    for _, alpha in res.trace.alphas:
+    u_min = res.trace.sigma[0] + 1
+    for j in (1, 2, 3):
+        alpha = res.coloring.vertex_colors[res.corona_map.copy_vertex(j, u_min)]
         assert 1 <= alpha <= 5
 
 
@@ -103,7 +104,8 @@ def test_case2_alpha_avoids_base_color_and_min_star():
             ec = vizing_color(h)
             sigma = res.trace.sigma
             s_min = edge_colors_at(h, ec, sigma[0])
-            for j, alpha in res.trace.alphas:
+            for j in range(1, g.n + 1):
+                alpha = res.coloring.vertex_colors[res.corona_map.copy_vertex(j, sigma[0] + 1)]
                 assert alpha not in s_min
                 assert alpha != base.vertex_colors[j - 1]
 
@@ -161,16 +163,18 @@ def test_case11_frozen_instance():
     h = parse_graph6(CASE11_H)
     res = color_corona(k(2), h)
     assert res.trace.case_tag == CASE_1_1
-    assert res.trace.beta in (1, 2, 3)
     assert res.coloring.max_color <= res.trace.palette_bound
     assert verify_npd(res.graph, res.coloring).ok
-    # the component edge and the minimum copy vertices share beta
+    # beta colors the component edge; its ends take the other two of {1,2,3}
+    # and the minimum copy vertices share beta
     eidx = {e: t for t, e in enumerate(res.graph.edges)}
-    assert res.coloring.edge_colors[eidx[(0, 1)]] == res.trace.beta
+    beta = res.coloring.edge_colors[eidx[(0, 1)]]
+    assert beta in (1, 2, 3)
+    assert sorted(res.coloring.vertex_colors[:2]) == sorted({1, 2, 3} - {beta})
     u_min = res.trace.sigma[0]
     for j in (1, 2):
         cu = res.corona_map.copy_vertex(j, u_min + 1)
-        assert res.coloring.vertex_colors[cu] == res.trace.beta
+        assert res.coloring.vertex_colors[cu] == beta
         key = tuple(sorted((j - 1, cu)))
         assert res.coloring.edge_colors[eidx[key]] == 5
 

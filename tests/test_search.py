@@ -14,6 +14,7 @@ from coronacolor import (
     verify_npd,
     verify_proper_total,
 )
+from coronacolor import search
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
 from coronacolor.search import _conflict_lists, _element_order
 from oracles import reference_npdtc_search
@@ -186,15 +187,17 @@ def test_subcubic_bound_executable():
             assert chi_prod_exact(g) <= max_degree(g) + 3
 
 
-def test_budget_exceeded_is_distinct_from_not_found():
+def test_budget_exceeded_is_distinct_from_not_found(monkeypatch):
     with pytest.raises(BudgetExceededError):
         npdtc_search(cycle(5), 4, budget=1)
     assert npdtc_search(k(2), 2, budget=1) is None  # pre-cut, no nodes spent
+    monkeypatch.setattr(search, "BASE_BUDGET", 1)
     with pytest.raises(BudgetExceededError, match="edges"):
-        base_coloring(cycle(6), budget=1)  # message carries the instance
+        base_coloring(cycle(6))  # message carries the instance
     # ... but only a summary of it, not the whole edge list
+    monkeypatch.setattr(search, "BASE_BUDGET", 10)
     with pytest.raises(BudgetExceededError, match="edges") as info:
-        base_coloring(gen_random_subcubic(2000, 1), budget=10)
+        base_coloring(gen_random_subcubic(2000, 1))
     assert len(str(info.value)) < 200
 
 
