@@ -64,12 +64,13 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 
 def _write(path: str | None, text: str, code: int = 2) -> None:
-    """Write text to path, or to stdout without one; an OSError is a write error."""
+    """Write text to path, or to stdout (flushed) without one; an OSError is a write error."""
     try:
         if path:
             Path(path).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         raise _Failure(code, f"write error: {exc}") from exc
 
@@ -111,10 +112,8 @@ def cmd_color(args: argparse.Namespace) -> int:
         _write(args.out, emit_coloring_json(doc))
     if args.dot:
         _write(args.dot, emit_dot(result.graph, result.coloring, result.corona_map))
-    print(
-        f"case={result.trace.case_tag} "
-        f"max_color={result.coloring.max_color} bound={result.trace.palette_bound}"
-    )
+    _write(None, f"case={result.trace.case_tag} "
+                 f"max_color={result.coloring.max_color} bound={result.trace.palette_bound}\n")
     return 0
 
 
@@ -125,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _Failure(2, "parse error: coloring document does not describe the given graph")
     coloring = document_coloring(doc)
     report = verify_npd(g, coloring) if args.mode == "product" else verify_nvd(g, coloring)
-    print(report_to_json(report))
+    _write(None, report_to_json(report) + "\n")
     return 0 if report.ok else 1
 
 
@@ -134,7 +133,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
     with _computing(budget_code=5):
         value = chi_prod_exact(g, args.budget)
         witness = npdtc_search(g, value, args.budget)
-    print(value)
+    _write(None, f"{value}\n")
     if witness is None:
         raise _Failure(5, "internal error: witness search failed at the computed value")
     _write(args.out, emit_coloring_json(coloring_document(g, witness)))
@@ -177,13 +176,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gs = [g for nn in range(1, args.ng_max + 1) for g in enumerate_subcubic(nn, connected=True)]
         hs = [h for nn in range(1, args.nh_max + 1) for h in enumerate_subcubic(nn)]
         pairs = [(g, h) for g in gs for h in hs]
-    if args.log:
-        try:
+    try:  # the records go to the log or to stdout; either may fail to take them
+        if args.log:
             with open(args.log, "a", encoding="utf-8") as out:
                 return _sweep_pairs(pairs, args.oracle_max, out)
-        except OSError as exc:
-            raise _Failure(2, f"write error: {exc}") from exc
-    return _sweep_pairs(pairs, args.oracle_max, sys.stdout)
+        return _sweep_pairs(pairs, args.oracle_max, sys.stdout)
+    except OSError as exc:
+        raise _Failure(2, f"write error: {exc}") from exc
 
 
 def _sweep_pairs(pairs: list[tuple[Graph, Graph]], oracle_max: int, out: TextIO) -> int:

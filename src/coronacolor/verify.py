@@ -1,12 +1,15 @@
 """Independent checker for proper total colorings and neighbor distinction.
 
 All products are exact Python integers and reports are exhaustive: every
-clash and every collision is listed, not just the first.
+clash and every collision is listed, not just the first.  The report is
+built only when one pass over the vertices and edges, in O(n + m) time and
+memory whatever the color values, finds a violation.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
@@ -62,9 +65,42 @@ def _products(g: Graph, coloring: TotalColoring, inc: list[list[int]]) -> dict[i
     return out
 
 
+def _clean_products(g: Graph, coloring: TotalColoring) -> dict[int, int] | None:
+    """Closed-star products of a proper total coloring within 1..max_color, or None.
+
+    Color c in the star of v is the key c * n + v, unique to (c, v), and a
+    key flagged twice is a vertex-edge or edge-edge clash.  Keys are flagged
+    in a bytearray when it takes at most 64 bytes per key, else (colors far
+    apart) in a dict holding only the keys looked up: O(n + m) memory.
+    """
+    n, vcol, ecol = g.n, coloring.vertex_colors, coloring.edge_colors
+    top = max(max(vcol, default=1), max(ecol, default=1))
+    if min(min(vcol, default=1), min(ecol, default=1)) < 1 or top > coloring.max_color:
+        return None
+    seen: bytearray | defaultdict[int, int]
+    if (top + 1) * n <= 64 * (n + 2 * len(ecol)):
+        seen = bytearray((top + 1) * n)
+    else:
+        seen = defaultdict(int)
+    for v, c in enumerate(vcol):
+        seen[c * n + v] = 1
+    prods = list(vcol)
+    for (a, b), c in zip(g.edges, ecol):
+        ka, kb = c * n + a, c * n + b
+        if vcol[a] == vcol[b] or seen[ka] or seen[kb]:
+            return None
+        seen[ka] = seen[kb] = 1
+        prods[a] *= c
+        prods[b] *= c
+    return dict(enumerate(prods))
+
+
 def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
     """Report every adjacency/incidence clash and every color outside 1..max_color."""
     _check_cover(g, coloring)
+    products = _clean_products(g, coloring)
+    if products is not None:
+        return VerifyReport(True, (), products)
     vcol, ecol, mx = coloring.vertex_colors, coloring.edge_colors, coloring.max_color
     violations: list[Violation] = []
     for v, c in enumerate(vcol):

@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from coronacolor import (
     color_corona,
@@ -9,6 +15,8 @@ from coronacolor import (
     parse_graph6,
 )
 from coronacolor.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def k(n):
@@ -318,6 +326,31 @@ def test_unwritable_outputs_exit_2_without_traceback(tmp_path, capsys):
     # gen keeps its own code for the same failure
     assert main(["gen", "--n", "3", "--out", str(missing / "g.g6")]) == 1
     assert_one_line(capsys.readouterr().err, "write error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failing_stdout_exits_2_without_traceback(tmp_path):
+    # a stdout that takes no bytes is a write error like an unwritable file,
+    # and nothing is reported again when the interpreter flushes it at exit
+    gp = write_g6(tmp_path / "g.g6", k(2))
+    col = tmp_path / "col.json"
+    assert main(["color", "--g", gp, "--h", gp, "--out", str(col)]) == 0
+    corona_path = write_g6(tmp_path / "corona.g6", color_corona(k(2), k(2)).graph)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in (
+        ["color", "--g", gp, "--h", gp],
+        ["verify", "--graph", corona_path, "--coloring", str(col)],
+        ["chi", "--graph", gp],
+        ["sweep", "--ng-max", "2", "--nh-max", "1"],
+    ):
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "coronacolor.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert run.returncode == 2, (argv, run.stderr)
+        assert_one_line(run.stderr, "write error: ")
 
 
 # SHA-256 of the records of `sweep --ng-max 7 --nh-max 5 --oracle-max 4`

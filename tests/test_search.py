@@ -16,7 +16,7 @@ from coronacolor import (
 )
 from coronacolor import search
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
-from coronacolor.search import _conflict_lists, _element_order
+from coronacolor.search import _conflict_lists, _element_order, _twin_classes
 from oracles import reference_npdtc_search
 
 
@@ -117,6 +117,39 @@ def test_k5_has_no_six_coloring():
     # K1 joined to K4 is K5, whose index is 7, not 6
     assert npdtc_search(k(5), 6) is None
     assert chi_prod_exact(corona(k(1), k(4))[0]) == 7
+
+
+def plain_chi(g):
+    """Smallest k at which the plain search, with no symmetry cut, finds a coloring."""
+    kk = max_degree(g) + 1
+    while npdtc_search(g, kk) is None:
+        kk += 1
+    return kk
+
+
+def test_twin_cut_keeps_the_exact_index():
+    graphs = [g for n in range(1, 8) for g in enumerate_subcubic(n)]
+    hs = [h for n in range(1, 4) for h in enumerate_subcubic(n)]
+    graphs += [
+        corona(g, h)[0] for n in range(1, 5) for g in enumerate_subcubic(n, connected=True) for h in hs
+    ]
+    for g in graphs:
+        assert chi_prod_exact(g) == plain_chi(g), g.edges
+
+
+def test_twin_cut_proves_k5_within_a_small_budget():
+    # the plain search needs 1,169,076 nodes to prove K5 has no 6-coloring;
+    # capped by its one twin class it needs under 10,000
+    assert chi_prod_exact(k(5), budget=20_000) == 7
+
+
+def test_twin_classes():
+    assert _twin_classes(k(5)) == [[0, 1, 2, 3, 4]]  # equal closed neighborhoods
+    star = new_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert _twin_classes(star) == [[1, 2, 3]]  # the leaves: equal open neighborhoods
+    assert _twin_classes(cycle(4)) == [[0, 2], [1, 3]]  # opposite vertices
+    assert _twin_classes(cycle(5)) == []
+    assert _twin_classes(new_graph(3, [(0, 1), (1, 2)])) == [[0, 2]]
 
 
 def test_k2_search():

@@ -1,16 +1,25 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronacolor import (
     TotalColoring,
+    coloring_document,
     color_corona,
+    document_coloring,
+    emit_coloring_json,
     new_graph,
+    parse_coloring_json,
     report_to_json,
     verify_npd,
     verify_nvd,
     verify_proper_total,
 )
+from coronacolor import verify
 from coronacolor.errors import DimensionMismatchError
 from coronacolor.verify import (
     COLOR_OUT_OF_RANGE,
@@ -138,3 +147,93 @@ def test_report_json():
     assert payload["ok"] is False
     assert payload["violations"][0]["kind"] == PRODUCT_COLLISION
     assert payload["violations"][0]["witness"] == [6, 6]
+
+
+def exhaustive(check, g, tc):
+    """check's report when the one-pass clean check always defers to the full report."""
+    with mock.patch.object(verify, "_clean_products", lambda g, coloring: None):
+        return check(g, tc)
+
+
+# mostly small colors, so that clean colorings and every kind of clash occur,
+# plus zero, negative and huge ones
+COLOR = st.one_of(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=-2, max_value=9),
+    st.sampled_from([10**18, 10**18 - 1, -(10**18)]),
+)
+
+
+def free_color(draw, used):
+    c = draw(st.integers(min_value=1, max_value=4))
+    while c in used:
+        c += 1
+    return c
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
+    g = new_graph(n, edges)
+    m = len(g.edges)
+    if draw(st.booleans()):
+        vcol = draw(st.lists(COLOR, min_size=n, max_size=n))
+        ecol = draw(st.lists(COLOR, min_size=m, max_size=m))
+    else:
+        # a proper coloring, drawn greedily, so that products are compared too;
+        # then perhaps one element recolored into a clash or out of range
+        vcol, ecol = [0] * n, [0] * m
+        for v in range(n):
+            vcol[v] = free_color(draw, {vcol[w] for w in g.adj[v]})
+        star = [{c} for c in vcol]
+        for t, (a, b) in enumerate(g.edges):
+            ecol[t] = free_color(draw, star[a] | star[b])
+            star[a].add(ecol[t])
+            star[b].add(ecol[t])
+        shift = draw(st.sampled_from([0, 0, 10**18]))  # far-apart colors, still proper
+        vcol = [c + shift for c in vcol]
+        ecol = [c + shift for c in ecol]
+        if n and draw(st.booleans()):
+            t = draw(st.integers(min_value=0, max_value=n + m - 1))
+            if t < n:
+                vcol[t] = draw(COLOR)
+            else:
+                ecol[t - n] = draw(COLOR)
+    top = max(vcol + ecol, default=1)
+    mx = draw(st.one_of(st.just(top), st.integers(min_value=-1, max_value=8), st.just(10**18)))
+    return g, TotalColoring(tuple(vcol), tuple(ecol), mx)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(colored_graphs())
+def test_clean_pass_agrees_with_the_exhaustive_report(case):
+    g, tc = case
+    for check in (verify_proper_total, verify_npd, verify_nvd):
+        assert check(g, tc) == exhaustive(check, g, tc), check.__name__
+
+
+def test_huge_colors_verify_in_bounded_memory():
+    # colors near 10**18 pass through the document parser, which bounds
+    # max_color only from below; the clean pass keys colors as c * n + v
+    res = color_corona(new_graph(3, [(0, 1), (1, 2), (0, 2)]), new_graph(4, [(0, 1), (2, 3)]))
+    big = 10**18
+    tc = TotalColoring(
+        tuple(big - c for c in res.coloring.vertex_colors),
+        tuple(big - c for c in res.coloring.edge_colors),
+        big,
+    )
+    doc = parse_coloring_json(emit_coloring_json(coloring_document(res.graph, tc)))
+    assert doc.max_color == big
+    tc = document_coloring(doc)
+    tracemalloc.start()
+    try:
+        report = verify_npd(res.graph, tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert report.ok
+    assert report.products == {v: product_at(res.graph, tc, v) for v in range(res.graph.n)}
+    assert report == exhaustive(verify_npd, res.graph, tc)
