@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -278,6 +279,14 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _Failure as exc:
         code, line = exc.args
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout keeps the bytes it could not take and would fail on them
+            # again at exit; point it at devnull so they are dropped there
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(line, file=sys.stderr)
         return code
 

@@ -52,7 +52,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
 
 
 def max_degree(g: Graph) -> int:
-    return max(map(len, g.adj), default=0)
+    return max((len(nb) for nb in g.adj), default=0)
 
 
 def require_subcubic(g: Graph) -> None:

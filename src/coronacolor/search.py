@@ -67,38 +67,35 @@ def _element_order(conf: list[list[int]]) -> list[int]:
     conflicts once.
 
     A lazy min-heap holds each key packed into one int,
-    ``-((score * D + degree) * S) + id`` with D the largest conflict degree
-    plus 1 and S (``stride``) = T + 1.  Since 0 <= degree < D and
-    0 <= id < S, the int orders exactly like the tuple (-score, -degree, id),
-    and ``key % S`` gives the id back; comparing ints is cheaper than
-    comparing tuples.  A score increase subtracts D * S (``step``) from the
-    element's current key, pushes the new key and leaves the old entry in
-    place.  Keys only fall, so an element's current entry outranks its stale
-    ones and is popped first; a popped entry that is not its element's
-    current key is stale, or its element is already ordered, and is dropped.
-    The order therefore equals a full rescan for the maximum at every pick.
+    ``-((score * D + degree) * S) + id`` with D (``span``) the largest
+    conflict degree plus 1 and S (``stride``) = T + 1.  Since 0 <= degree < D and 0 <= id < S, the int
+    orders exactly like the tuple (-score, -degree, id), and ``key % S``
+    gives the id back; comparing ints is cheaper than comparing tuples.  A
+    score increase pushes a fresh entry and leaves the old one in place.
+    Scores only grow, so an element's entry with its current score outranks
+    its stale ones and is popped first; a popped entry of an element already
+    ordered is stale and dropped.  The order therefore equals a full rescan
+    for the maximum at every pick.
     """
     total = len(conf)
+    span = max(map(len, conf), default=0) + 1
     stride = total + 1
-    step = (max(map(len, conf), default=0) + 1) * stride  # one more point of score
-    key: list[int | None] = [e - len(conf[e]) * stride for e in range(total)]
-    heap = key[:]
+    score = [0] * total
+    chosen = [False] * total
+    heap = [e - len(conf[e]) * stride for e in range(total)]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
     while heap:
-        x = pop(heap)
-        e = x % stride
-        if key[e] != x:  # stale, or e is ordered (its key is None)
+        e = pop(heap) % stride
+        if chosen[e]:
             continue
-        key[e] = None
+        chosen[e] = True
         order.append(e)
         for s in conf[e]:
-            k = key[s]
-            if k is not None:
-                k -= step
-                key[s] = k
-                push(heap, k)
+            if not chosen[s]:
+                score[s] += 1
+                push(heap, s - (score[s] * span + len(conf[s])) * stride)
     return order
 
 
@@ -118,48 +115,6 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return sorted(c for c in groups.values() if len(c) > 1)
 
 
-def _hopeless(g: Graph, k: int) -> bool:
-    """k is below some closed star, or some edge's two stars need all k colors."""
-    deg = [len(nb) for nb in g.adj]
-    if max(deg, default=0) + 1 > k:
-        return True
-    # both stars would need the whole palette, forcing equal products
-    return any(deg[a] + 1 == k and deg[b] + 1 == k for a, b in g.edges)
-
-
-class _Plan:
-    """What the search needs of g for any palette size k.
-
-    ``ahead[d]``, the conflicts of order[d] placed after it, is filled in on
-    the first visit to depth d and kept for later runs.  ``ceiling[d]`` is
-    the element whose color caps order[d]'s, or ``total``, the slot of the
-    color array that holds k; with ``twins`` a vertex's ceiling is the
-    previous vertex of its twin class in the order.
-    """
-
-    __slots__ = ("g", "deg", "owners", "conf", "order", "ahead", "ceiling")
-
-    def __init__(self, g: Graph, twins: bool = False) -> None:
-        n = g.n
-        total = n + len(g.edges)
-        self.g = g
-        self.deg = [len(nb) for nb in g.adj]
-        self.owners: list[tuple[int, ...]] = [(v,) for v in range(n)]
-        self.owners.extend(g.edges)
-        self.conf = _conflict_lists(g)
-        self.order = _element_order(self.conf)
-        self.ahead: list[list[int] | None] = [None] * total
-        self.ceiling = [total] * total
-        if twins:
-            depth = [0] * total
-            for d, e in enumerate(self.order):
-                depth[e] = d
-            for cls in _twin_classes(g):
-                cls.sort(key=depth.__getitem__)
-                for prev, v in zip(cls, cls[1:]):
-                    self.ceiling[depth[v]] = prev
-
-
 def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColoring | None:
     """Proper total [k]-coloring with distinct star products across every edge, or None.
 
@@ -174,37 +129,60 @@ def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColorin
     agree.  Raises BudgetExceededError when the node budget runs out, which is
     distinct from an exhaustive None.
     """
-    if k < 1:
-        raise ValueError("palette size must be positive")
-    if g.n + len(g.edges) == 0:
-        return TotalColoring((), (), 1)
-    if _hopeless(g, k):
-        return None
-    return _search(_Plan(g), k, budget)
+    return _search(g, k, budget, twins=False)
 
 
-def _search(plan: _Plan, k: int, budget: int) -> TotalColoring | None:
-    """The backtracking of ``npdtc_search`` over plan, each color capped by its ceiling.
+def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
+    """The backtracking of ``npdtc_search``; with twins, capped within twin classes.
 
     The order is static, so at depth d exactly order[:d] is colored, and the
     uncolored conflicts of order[d] are exactly those placed after it.  That
     forward list is built on the first visit to d and then serves every color
     tried there, both to ban the color and to lift the ban again.  A depth is
     re-entered with its element still colored, and the color is taken off
-    before the next one is tried.  A ceiling is placed earlier in the order,
-    so it is colored whenever its depth is searched.
+    before the next one is tried.
+
+    ``ceiling[d]`` is the element whose color caps order[d]'s, or ``total``,
+    the slot of the color array that holds k.  With ``twins`` a vertex's
+    ceiling is the previous vertex of its twin class in the order, which is
+    colored whenever the vertex's depth is searched.
     """
-    g = plan.g
-    n = g.n
-    total = n + len(g.edges)
-    conf, owners, order, ahead, ceiling = plan.conf, plan.owners, plan.order, plan.ahead, plan.ceiling
+    if k < 1:
+        raise ValueError("palette size must be positive")
+    n, m = g.n, len(g.edges)
+    total = n + m
+    if total == 0:
+        return TotalColoring((), (), 1)
+    deg = [len(nb) for nb in g.adj]
+    if max(deg, default=0) + 1 > k:
+        return None
+    for a, b in g.edges:
+        # both stars would need the whole palette, forcing equal products
+        if deg[a] + 1 == k and deg[b] + 1 == k:
+            return None
+
+    conf = _conflict_lists(g)
+    owners: list[tuple[int, ...]] = [(v,) for v in range(n)]
+    owners.extend(g.edges)
+    order = _element_order(conf)
+    ceiling = [total] * total
+    if twins:
+        depth_of = [0] * total
+        for d, e in enumerate(order):
+            depth_of[e] = d
+        for cls in _twin_classes(g):
+            cls.sort(key=depth_of.__getitem__)
+            for prev, v in zip(cls, cls[1:]):
+                ceiling[depth_of[v]] = prev
+
     color = [0] * total
     color.append(k)  # color[total]: the ceiling of an uncapped element
     banned = [[0] * (k + 1) for _ in range(total)]
     avail = [k] * total
-    star_left = [d + 1 for d in plan.deg]
+    star_left = [deg[v] + 1 for v in range(n)]
     sig = [1] * n
     adjacency = g.adj
+    ahead: list[list[int] | None] = [None] * total
     last = [0] * total
     nodes = 0
     depth = 0
@@ -276,7 +254,7 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     sorts into one that meets the caps (lex-leader symmetry breaking;
     Crawford, Ginsberg, Luks and Roy, KR 1996).  A floor instead of the
     ceiling took C4∘K4 at k = 8 past 3,000,000 nodes; the ceiling needs
-    1 ms.  Each component's plan serves every k.
+    1 ms.
     """
     if g.n == 0:
         raise ValueError("need at least one vertex")
@@ -284,10 +262,9 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     for comp in connected_components(g):
         if len(comp) == 1:
             continue
-        sub = g if len(comp) == g.n else subgraph(g, comp)[0]
-        plan = _Plan(sub, twins=True)
+        sub, _ = subgraph(g, comp)
         k = max_degree(sub) + 1
-        while _hopeless(sub, k) or _search(plan, k, budget) is None:
+        while _search(sub, k, budget, twins=True) is None:
             k += 1
         if k > best:
             best = k

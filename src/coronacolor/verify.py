@@ -1,15 +1,15 @@
 """Independent checker for proper total colorings and neighbor distinction.
 
 All products are exact Python integers and reports are exhaustive: every
-clash and every collision is listed, not just the first.  The report is
-built only when one pass over the vertices and edges, in O(n + m) time and
-memory whatever the color values, finds a violation.
+clash and every collision is listed, not just the first.  A coloring is
+first checked in one pass over the vertices and edges, in O(n + m) time and
+memory whatever the color values; the report is built only when that pass
+finds a violation or the colors are too far apart for its flags.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
@@ -70,18 +70,16 @@ def _clean_products(g: Graph, coloring: TotalColoring) -> dict[int, int] | None:
 
     Color c in the star of v is the key c * n + v, unique to (c, v), and a
     key flagged twice is a vertex-edge or edge-edge clash.  Keys are flagged
-    in a bytearray when it takes at most 64 bytes per key, else (colors far
-    apart) in a dict holding only the keys looked up: O(n + m) memory.
+    in a bytearray, which is built only when it takes at most 64 bytes per
+    key, so memory is O(n + m); colors too far apart for that return None.
     """
     n, vcol, ecol = g.n, coloring.vertex_colors, coloring.edge_colors
     top = max(max(vcol, default=1), max(ecol, default=1))
     if min(min(vcol, default=1), min(ecol, default=1)) < 1 or top > coloring.max_color:
         return None
-    seen: bytearray | defaultdict[int, int]
-    if (top + 1) * n <= 64 * (n + 2 * len(ecol)):
-        seen = bytearray((top + 1) * n)
-    else:
-        seen = defaultdict(int)
+    if (top + 1) * n > 64 * (n + 2 * len(ecol)):
+        return None
+    seen = bytearray((top + 1) * n)
     for v, c in enumerate(vcol):
         seen[c * n + v] = 1
     prods = list(vcol)

@@ -329,15 +329,20 @@ def test_unwritable_outputs_exit_2_without_traceback(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_failing_stdout_exits_2_without_traceback(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_failing_stdout_exits_2_without_traceback(tmp_path, unbuffered):
     # a stdout that takes no bytes is a write error like an unwritable file,
-    # and nothing is reported again when the interpreter flushes it at exit
+    # and nothing is reported again when the interpreter flushes it at exit;
+    # redirected stdout is block-buffered unless PYTHONUNBUFFERED is set
     gp = write_g6(tmp_path / "g.g6", k(2))
     col = tmp_path / "col.json"
     assert main(["color", "--g", gp, "--h", gp, "--out", str(col)]) == 0
     corona_path = write_g6(tmp_path / "corona.g6", color_corona(k(2), k(2)).graph)
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     for argv in (
         ["color", "--g", gp, "--h", gp],
         ["verify", "--graph", corona_path, "--coloring", str(col)],

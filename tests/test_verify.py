@@ -214,9 +214,17 @@ def test_clean_pass_agrees_with_the_exhaustive_report(case):
         assert check(g, tc) == exhaustive(check, g, tc), check.__name__
 
 
+def test_clean_pass_confirms_a_proper_coloring():
+    # the one-pass check, not the full report, answers for a clean coloring
+    res = color_corona(new_graph(3, [(0, 1), (1, 2), (0, 2)]), new_graph(4, [(0, 1), (2, 3)]))
+    products = verify._clean_products(res.graph, res.coloring)
+    assert products is not None
+    assert products == exhaustive(verify_npd, res.graph, res.coloring).products
+
+
 def test_huge_colors_verify_in_bounded_memory():
     # colors near 10**18 pass through the document parser, which bounds
-    # max_color only from below; the clean pass keys colors as c * n + v
+    # max_color only from below; no check may allocate by color value
     res = color_corona(new_graph(3, [(0, 1), (1, 2), (0, 2)]), new_graph(4, [(0, 1), (2, 3)]))
     big = 10**18
     tc = TotalColoring(
