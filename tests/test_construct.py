@@ -285,6 +285,28 @@ def test_single_edge_g_output_is_pinned():
     assert digest.hexdigest() == SINGLE_EDGE_G_SHA256
 
 
+# SHA-256 of the same records over G∘(empty H) for every enumerate_subcubic(ng),
+# ng in 1..6 (103 graphs): the corona is G itself, with no spokes and no copy
+# block, and every component is searched
+EMPTY_H_SHA256 = "1c35f7cb4d03133bc7e592645228e729caa9a2214e72ca90058316dd1d0616e1"
+
+
+def test_empty_h_output_is_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    pairs = 0
+    for ng in range(1, 7):
+        for g in enumerate_subcubic(ng):
+            res = color_corona(g, new_graph(0))
+            c, t = res.coloring, res.trace
+            record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
+            digest.update(repr(record).encode() + b"\n")
+            pairs += 1
+    assert pairs == 103
+    assert digest.hexdigest() == EMPTY_H_SHA256
+
+
 def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
     from coronacolor import construct
 
