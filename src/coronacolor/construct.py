@@ -8,13 +8,16 @@ dg = max_degree(G), position pos >= 2 of sigma gets vertex color dg+pos+2,
 and every position gets spoke color dg+pos+3, so the products inside each
 copy rise strictly.  The cases differ only in the vertex color at position
 1: dg+3 = 4 in Case1_2, beta in Case1_1 (which also recolors the component
-edge and its ends), and the avoidance color alpha_j in Case2.  Components
-outside the structured cases are colored by exact search within the same
-palette bound.  One verifier pass over the whole corona then checks the
-assembled coloring; components owning a violation are recolored by exact
-search and the corona is checked again (a proper-coloring clash hides
-product collisions from the verifier, so one pass can miss components),
-until a pass is clean.  Every returned coloring is verified.
+edge and its ends), and the avoidance color alpha_j in Case2.  Colors are
+written by edge position (corona_edge_starts): each copy's vertex colors and
+spokes are slices of one ladder template, and the copy edges repeat the
+second factor's edge coloring.  Components outside the structured cases are
+colored by exact search within the same palette bound.  One verifier pass
+over the whole corona then checks the assembled coloring; components owning
+a violation are recolored by exact search and the corona is checked again
+(a proper-coloring clash hides product collisions from the verifier, so one
+pass can miss components), until a pass is clean.  Every returned coloring
+is verified.
 """
 
 from __future__ import annotations
@@ -24,16 +27,9 @@ from typing import NamedTuple
 
 from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
 from .errors import BudgetExceededError, FallbackBudgetError, NoAvoidColorError
-from .graph import (
-    CoronaMap,
-    Graph,
-    connected_components,
-    corona,
-    edge_index,
-    max_degree,
-    require_subcubic,
-    subgraph,
-)
+from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_starts,
+                    max_degree, require_subcubic, subgraph)
+from .graph import edge_index  # unused here; perfbench's tracer patches construct.edge_index
 from .search import TotalColoring, base_coloring, npdtc_search
 from .verify import verify_npd
 
@@ -103,15 +99,17 @@ def min_copy_color(
     raise NoAvoidColorError("all of 1..5 forbidden; impossible for degree <= 3")
 
 
-def _fallback_component(
-    cg: Graph,
-    cmap: CoronaMap,
-    comp: tuple[int, ...],
-    vcol: list[int],
-    earr: list[int],
-    eidx: dict[tuple[int, int], int],
-    bound: int,
-) -> None:
+def _component_edge_ids(comp: tuple[int, ...], starts: list[int], h_edges: int) -> list[int]:
+    """Corona edge ids of the subgraph on comp and its copies, in its
+    canonical order: each v's run of g-edges up and spokes, then each v's
+    copy block."""
+    runs = [range(starts[v], starts[v + 1]) for v in comp]
+    runs += [range(starts[-1] + v * h_edges, starts[-1] + (v + 1) * h_edges) for v in comp]
+    return [t for run in runs for t in run]
+
+
+def _fallback_component(cg: Graph, cmap: CoronaMap, comp: tuple[int, ...], vcol: list[int],
+                        earr: list[int], starts: list[int], bound: int) -> None:
     verts = list(comp)
     for v in comp:
         verts.extend(cmap.copy_vertex(v + 1, i) for i in range(1, cmap.n_h + 1))
@@ -121,13 +119,12 @@ def _fallback_component(
     except BudgetExceededError as exc:
         raise FallbackBudgetError(f"fallback search exhausted on component {comp}") from exc
     if tc is None:
-        raise AssertionError(
-            f"internal: no coloring with {bound} colors for component {comp}"
-        )
-    for i, v in enumerate(verts):
-        vcol[v] = tc.vertex_colors[i]
-    for t, (a, b) in enumerate(sub.edges):
-        earr[eidx[(verts[a], verts[b])]] = tc.edge_colors[t]
+        raise AssertionError(f"internal: no coloring with {bound} colors for component {comp}")
+    for v, c in zip(verts, tc.vertex_colors):
+        vcol[v] = c
+    h_edges = (len(cg.edges) - starts[-1]) // cmap.n_g
+    for t, c in zip(_component_edge_ids(comp, starts, h_edges), tc.edge_colors):
+        earr[t] = c
 
 
 def _component_of(element: tuple, cmap: CoronaMap, comp_of: list[int]) -> int:
@@ -144,25 +141,24 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
-    One rule picks each component's coloring: an isolated vertex, or any
-    component when h is empty, gets exact search; every other component
-    keeps the base coloring of g and lays each of its copies along one
-    ladder over sigma, offset by the global maximum degree dg so all
-    components share one palette bound.  Position pos gets spoke color
-    dg+pos+3 and, from pos 2 on, vertex color dg+pos+2.  Position 1 gets
-    4 (Case1_2), beta (Case1_1: dg is 1 and h's minimum-product vertex
-    carries edge color 4; the component edge takes beta too and its ends the
-    other two colors of {1,2,3}) or alpha_j (Case2: dg is 2 or 3), as picked
-    by ``min_copy_color``.  The whole corona is then verified in one pass;
-    the components owning a violation are recolored by exact search and the
-    corona is verified again, until a pass is clean.  A violation inside a
-    component that was already searched is an internal error.
+    An isolated vertex, or any component when h is empty, gets exact search;
+    every other component keeps the base coloring of g and lays each of its
+    copies along the ladder, with dg the global maximum degree so that all
+    components share one palette bound, and position 1 colored by
+    ``min_copy_color``; in Case1_1 the component edge takes beta too and its
+    ends the other two colors of {1,2,3}.  The whole corona is then verified
+    in one pass; the components owning a violation are recolored by exact
+    search and the corona is verified again, until a pass is clean.  A
+    violation inside a component that was already searched is an internal
+    error.
     """
     require_subcubic(g)
     require_subcubic(h)
     cg, cmap = corona(g, h)
-    bound = max_degree(cg) + 3
-    eidx = edge_index(cg)
+    dg = max_degree(g)
+    # v_j has degree dg+|V(h)| at most, which no copy vertex's deg+1 <= |V(h)| exceeds
+    bound = dg + h.n + 3
+    starts = corona_edge_starts(g, h.n)
     vcol = [0] * cg.n
     earr = [0] * len(cg.edges)
     comps = connected_components(g)
@@ -171,36 +167,35 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     if h.n:
         base = base_coloring(g)
         ecol = vizing_color(h)
-        dg = max_degree(g)
         sigma = sort_by_product(ecol, h)
         s_min = edge_colors_at(h, ecol, sigma[0])
-        for v in range(g.n):
-            vcol[v] = base.vertex_colors[v]
-        for t, e in enumerate(g.edges):
-            earr[eidx[e]] = base.edge_colors[t]
-        for j in range(1, g.n + 1):
-            off = cmap.copy_vertex(j, 1)
-            for (a, b), c in zip(h.edges, ecol.colors):
-                earr[eidx[(off + a, off + b)]] = c
+        vcol[:g.n] = base.vertex_colors
+        earr[starts[g.n]:] = ecol.colors * g.n
+        # copy j's vertex colors and spokes in h's vertex order
+        ladder, spokes = [0] * h.n, [0] * h.n
+        for pos, u in enumerate(sigma, 1):
+            ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
                 continue
             for v in comp:
-                first, tags[ci] = min_copy_color(v, base, s_min, dg)
+                ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg)
                 off = cmap.copy_vertex(v + 1, 1)
-                for pos, u in enumerate(sigma, 1):
-                    vcol[off + u] = first if pos == 1 else dg + pos + 2
-                    earr[eidx[(v, off + u)]] = dg + pos + 3
-            if tags[ci] == CASE_1_1:  # first is beta
+                vcol[off:off + h.n] = ladder
+                up = starts[v + 1] - h.n  # spokes start; g-edges up sit v*|V(h)| past g.edges
+                earr[starts[v]:up] = base.edge_colors[starts[v] - v * h.n:up - v * h.n]
+                earr[up:starts[v + 1]] = spokes
+            if tags[ci] == CASE_1_1:  # the position-1 color is beta
                 v1, v2 = comp
-                vcol[v1], vcol[v2] = sorted({1, 2, 3} - {first})
-                earr[eidx[(v1, v2)]] = first
+                beta = ladder[sigma[0]]
+                vcol[v1], vcol[v2] = sorted({1, 2, 3} - {beta})
+                earr[starts[v1]] = beta
     comp_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
         if tags[ci] == FALLBACK:
-            _fallback_component(cg, cmap, comp, vcol, earr, eidx, bound)
+            _fallback_component(cg, cmap, comp, vcol, earr, starts, bound)
     while True:
         coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
         report = verify_npd(cg, coloring)
@@ -213,7 +208,7 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
             )
         for ci in flagged:
             tags[ci] = FALLBACK
-            _fallback_component(cg, cmap, comps[ci], vcol, earr, eidx, bound)
+            _fallback_component(cg, cmap, comps[ci], vcol, earr, starts, bound)
     if coloring.max_color > bound:
         raise AssertionError(f"internal: {coloring.max_color} colors exceed bound {bound}")
     unique = set(tags)

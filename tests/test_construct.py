@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronacolor import (
     CASE_1_1,
@@ -8,13 +10,18 @@ from coronacolor import (
     MIXED,
     base_coloring,
     color_corona,
+    connected_components,
+    corona,
     edge_colors_at,
+    edge_index,
     enumerate_subcubic,
     gen_random_subcubic,
+    is_connected,
     max_degree,
     new_graph,
     parse_graph6,
     sort_by_product,
+    subgraph,
     verify_npd,
     vizing_color,
 )
@@ -305,6 +312,60 @@ def test_empty_h_output_is_pinned():
             pairs += 1
     assert pairs == 103
     assert digest.hexdigest() == EMPTY_H_SHA256
+
+
+def test_fallback_edge_ids_match_edge_index():
+    from coronacolor.construct import _component_edge_ids
+    from coronacolor.graph import corona_edge_starts
+
+    gs = [g for ng in range(2, 7) for g in enumerate_subcubic(ng) if not is_connected(g)]
+    hs = [new_graph(0)] + [h for nh in range(1, 4) for h in enumerate_subcubic(nh)]
+    for g in gs:
+        for h in hs:
+            cg, cmap = corona(g, h)
+            eidx = edge_index(cg)
+            starts = corona_edge_starts(g, h.n)
+            for comp in connected_components(g):
+                copies = [cmap.copy_vertex(v + 1, i) for v in comp for i in range(1, h.n + 1)]
+                sub, verts = subgraph(cg, [*comp, *copies])
+                ids = [eidx[(verts[a], verts[b])] for a, b in sub.edges]
+                assert _component_edge_ids(comp, starts, len(h.edges)) == ids
+
+
+# components that reach every rule: an isolated vertex (searched), a lone edge
+# (Case1_1 or Case1_2 when it sets max_degree(G)), paths and cycles (Delta 2),
+# a claw, K4 and the prism (Delta 3)
+PIECES = [new_graph(1), k(2), new_graph(3, [(0, 1), (1, 2)]), k(3), cycle(5), k(4),
+          new_graph(4, [(0, 1), (0, 2), (0, 3)]),
+          new_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])]
+SMALL_H = [new_graph(0)] + [h for nh in range(1, 7) for h in enumerate_subcubic(nh)]
+
+
+def disjoint_union(pieces, perm):
+    """The pieces side by side, vertex x renamed perm[x]."""
+    edges, off = [], 0
+    for p in pieces:
+        edges += [(perm[off + a], perm[off + b]) for a, b in p.edges]
+        off += p.n
+    return new_graph(off, edges)
+
+
+SUBCUBIC_G = (
+    st.lists(st.sampled_from(PIECES), min_size=1, max_size=5)
+    .filter(lambda ps: sum(p.n for p in ps) <= 14)
+    .flatmap(lambda ps: st.permutations(range(sum(p.n for p in ps)))
+             .map(lambda perm: disjoint_union(ps, perm)))
+)
+
+
+# CASE11_H is drawn about half the time, so that lone-edge G reach Case1_1
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SUBCUBIC_G, st.sampled_from(SMALL_H) | st.just(parse_graph6(CASE11_H)))
+def test_color_corona_property(g, h):
+    res = color_corona(g, h)
+    assert verify_npd(res.graph, res.coloring).ok
+    assert res.coloring.max_color <= res.trace.palette_bound == max_degree(res.graph) + 3
+    assert [comp for comp, _ in res.trace.component_cases] == connected_components(g)
 
 
 def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):

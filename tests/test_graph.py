@@ -6,6 +6,7 @@ from coronacolor import (
     GVertex,
     connected_components,
     corona,
+    edge_index,
     enumerate_subcubic,
     gen_random_subcubic,
     is_connected,
@@ -14,6 +15,7 @@ from coronacolor import (
     subgraph,
 )
 from coronacolor.errors import DuplicateEdgeError, EndpointOutOfRangeError, SelfLoopError
+from coronacolor.graph import corona_edge_starts
 
 
 def k(n):
@@ -122,7 +124,9 @@ def reference_corona(g, h):
     return new_graph(cmap.n, edges), cmap
 
 
-def test_corona_matches_reference_build():
+def reference_pairs():
+    """Connected G up to 6 vertices times H up to 4 (empty H included), and
+    random G of 1, 50 and 2000 vertices times empty H, K1 and a random H."""
     gs = [g for n in range(1, 7) for g in enumerate_subcubic(n, connected=True)]
     hs = [new_graph(0)] + [h for n in range(1, 5) for h in enumerate_subcubic(n)]
     pairs = [(g, h) for g in gs for h in hs]
@@ -131,10 +135,33 @@ def test_corona_matches_reference_build():
         for seed in (0, 1):
             g = gen_random_subcubic(n, seed)
             pairs += [(g, new_graph(0)), (g, new_graph(1)), (g, random_h)]
-    for g, h in pairs:
+    return pairs
+
+
+def test_corona_matches_reference_build():
+    for g, h in reference_pairs():
         cg, cmap = corona(g, h)
         ref, ref_map = reference_corona(g, h)
         assert (cg.n, cg.adj, cg.edges, cmap) == (ref.n, ref.adj, ref.edges, ref_map)
+
+
+def test_corona_edge_starts_match_edge_index():
+    for g, h in reference_pairs():
+        cg, cmap = corona(g, h)
+        eidx = edge_index(cg)
+        starts = corona_edge_starts(g, h.n)
+        assert len(starts) == g.n + 1
+        for v in range(g.n):
+            spokes = [cmap.copy_vertex(v + 1, i) for i in range(1, h.n + 1)]
+            run = [eidx[(v, w)] for w in g.adj[v] if w > v] + [eidx[(v, x)] for x in spokes]
+            assert run == list(range(starts[v], starts[v + 1]))
+        block = [starts[g.n] + (j - 1) * len(h.edges) + t
+                 for j in range(1, g.n + 1) for t in range(len(h.edges))]
+        copy_edges = [eidx[(cmap.copy_vertex(j, a + 1), cmap.copy_vertex(j, b + 1))]
+                      for j in range(1, g.n + 1) for a, b in h.edges]
+        assert copy_edges == block
+        assert starts[g.n] + len(block) == len(cg.edges)
+        assert max_degree(g) + h.n == max_degree(cg)  # the palette bound, less 3
 
 
 def test_corona_map_roles_partition():
