@@ -11,19 +11,22 @@ copy rise strictly.  The cases differ only in the vertex color at position
 edge and its ends), and the avoidance color alpha_j in Case2.  Colors are
 written by edge position (corona_edge_starts): each copy's vertex colors and
 spokes are slices of one ladder template, and the copy edges repeat the
-second factor's edge coloring.  Components outside the structured cases are
-colored by exact search within the same palette bound.  One verifier pass
-over the whole corona then checks the assembled coloring; components owning
-a violation are recolored by exact search and the corona is checked again
-(a proper-coloring clash hides product collisions from the verifier, so one
-pass can miss components), until a pass is clean.  Every returned coloring
-is verified.
+second factor's edge coloring.  alpha_j also keeps u^j_{sigma[0]}'s star
+product off v_j's, so every component of two or more vertices is colored
+without search; isolated vertices and an empty second factor get exact search
+within the same palette bound.  One verifier pass over the whole corona then
+checks the assembled coloring; components owning a violation are recolored
+by exact search and the corona is checked again (a proper-coloring clash
+hides product collisions from the verifier, so one pass can miss
+components), until a pass is clean; no known input sends a structured
+component there.  Every returned coloring is verified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
 from .errors import BudgetExceededError, FallbackBudgetError, NoAvoidColorError
@@ -66,25 +69,41 @@ class ColorResult(NamedTuple):
     trace: ConstructionTrace
 
 
-def sort_by_product(ecol: EdgeColoring, h: Graph) -> tuple[int, ...]:
-    """h's vertices by nondecreasing incident edge-color product, ties by index."""
-    prod = [1] * h.n
-    for (a, b), c in zip(h.edges, ecol.colors):
+def _star_products(start: Sequence[int], g: Graph, colors: Sequence[int]) -> list[int]:
+    """start[x] times the colors of x's edges in g, for every vertex x."""
+    prod = list(start)
+    for (a, b), c in zip(g.edges, colors):
         prod[a] *= c
         prod[b] *= c
+    return prod
+
+
+def sort_by_product(ecol: EdgeColoring, h: Graph) -> tuple[int, ...]:
+    """h's vertices by nondecreasing incident edge-color product, ties by index."""
+    prod = _star_products([1] * h.n, h, ecol.colors)
     return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
 def min_copy_color(
-    v: int, base: TotalColoring, s_min: frozenset[int], delta_g: int
+    v: int, base: TotalColoring, s_min: frozenset[int], delta_g: int, v_star: int
 ) -> tuple[int, str]:
     """Color of copy v+1's minimum vertex sigma[0] and the case it follows.
 
     s_min is the set of edge colors at sigma[0].  When max_degree(G) is 1 the
     color is 4 (Case1_2) while color 4 misses sigma[0], else beta, the
     smallest color of {1,2,3} missing there (Case1_1); otherwise it is
-    alpha_j, the smallest color of 1..5 missing from s_min and v's own color
-    (Case2).
+    alpha_j, the smallest color c of 1..5 missing from s_min and v's own color
+    with c*prod(s_min) != v_star (Case2).
+
+    v_star is prod_G(v), v's closed-star product in the base coloring, times
+    the spoke colors dg+p+3 of positions p >= 2; color_corona stops at p = 4,
+    from where v_star exceeds 120 >= 5*prod(s_min) either way.  u^j_{sigma[0]}
+    has star product c*prod(s_min)*(dg+4), so the third condition keeps the
+    products at the two ends of its spoke apart.  It binds only when n_h = 1,
+    where s_min is empty and at most two colors are forbidden: otherwise
+    prod_G(v) >= 2 (v has an edge colored unlike v) and v_star >= 2*(dg+5)*...
+    exceeds 5*prod(s_min) <= 5*min(n_h, 4)!.  Any alpha <= 5 stays below dg+4,
+    the lowest ladder color, so the copy stays proper and its products rising.
     """
     if delta_g == 1:
         if 4 not in s_min:
@@ -93,10 +112,11 @@ def min_copy_color(
         if not free:
             raise NoAvoidColorError("no color of {1,2,3} misses the minimum-product vertex")
         return min(free), CASE_1_1
+    p_min = math.prod(s_min)
     for c in (1, 2, 3, 4, 5):
-        if c not in s_min and c != base.vertex_colors[v]:
+        if c not in s_min and c != base.vertex_colors[v] and c * p_min != v_star:
             return c, CASE_2
-    raise NoAvoidColorError("all of 1..5 forbidden; impossible for degree <= 3")
+    raise NoAvoidColorError("all of 1..5 forbidden; subcubic factors forbid four at most")
 
 
 def _component_edge_ids(comp: tuple[int, ...], starts: list[int], h_edges: int) -> list[int]:
@@ -175,11 +195,14 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         ladder, spokes = [0] * h.n, [0] * h.n
         for pos, u in enumerate(sigma, 1):
             ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
+        # min_copy_color's v_star: star products in the base coloring, spokes 2..4
+        star = _star_products(base.vertex_colors, g, base.edge_colors)
+        tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
                 continue
             for v in comp:
-                ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg)
+                ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg, star[v] * tail)
                 off = cmap.copy_vertex(v + 1, 1)
                 vcol[off:off + h.n] = ladder
                 up = starts[v + 1] - h.n  # spokes start; g-edges up sit v*|V(h)| past g.edges

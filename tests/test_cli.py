@@ -362,7 +362,7 @@ def test_failing_stdout_exits_2_without_traceback(tmp_path, unbuffered):
 # without wall_ms, one json.dumps(record) + "\n" each (4,633 records); a
 # refactor that keeps the construction, the oracle and the record fields
 # byte-identical leaves it unchanged
-SWEEP_RECORDS_SHA256 = "356386f8ba05ae840fe815d99d9113de8d7384de60cbb24e13278bd8f617a123"
+SWEEP_RECORDS_SHA256 = "ac5c76e216bf1a87bed547fe8e9595c473ce5a213eb482258d196d767085bdfe"
 
 
 def test_exhaustive_sweep_records_are_pinned(capsys):

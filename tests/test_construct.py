@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,10 @@ from oracles import product_at
 # on the minimum-product vertex, so K2∘H takes Case1_1 (found by the scan test
 # below)
 CASE11_H = "EUxo"
+# a leaf-rich G whose corona with K1 needs alpha to avoid v_j's star product:
+# a leaf with base color 1 and edge color 2 has star product 2, which the
+# first two conditions on alpha alone would pick (shrunk by hypothesis)
+LEAFY_G = "EOSw"
 
 
 def k(n):
@@ -102,7 +108,10 @@ def test_figure_shape_case2():
 
 
 def test_case2_alpha_avoids_base_color_and_min_star():
-    for g in (k(3), cycle(5), k(4)):
+    leafy = parse_graph6(LEAFY_G)
+    res = color_corona(leafy, new_graph(1))
+    assert (res.trace.case_tag, res.coloring.max_color) == (CASE_2, 7)
+    for g in (k(3), cycle(5), k(4), leafy):
         for h in (new_graph(1), k(2), new_graph(3, [(0, 1), (1, 2)])):
             res = color_corona(g, h)
             if res.trace.case_tag != CASE_2:
@@ -111,10 +120,15 @@ def test_case2_alpha_avoids_base_color_and_min_star():
             ec = vizing_color(h)
             sigma = res.trace.sigma
             s_min = edge_colors_at(h, ec, sigma[0])
+            p_min = math.prod(s_min)
+            prods = verify_npd(res.graph, res.coloring).products
+            dg = max_degree(g)
             for j in range(1, g.n + 1):
                 alpha = res.coloring.vertex_colors[res.corona_map.copy_vertex(j, sigma[0] + 1)]
                 assert alpha not in s_min
                 assert alpha != base.vertex_colors[j - 1]
+                # u^j_{sigma[0]}'s star product is off v_j's
+                assert alpha * p_min * (dg + 4) != prods[j - 1]
 
 
 def test_single_vertex_copy_stays_case12():
@@ -244,7 +258,7 @@ def test_fallback_budget_error(monkeypatch):
 # SHA-256 over color_corona's output on every pair enumerate_subcubic(ng) x
 # enumerate_subcubic(nh), ng in 1..6 and nh in 1..4 (1,854 pairs, disconnected
 # G included); any change to the construction or its fallbacks moves it
-PINNED_OUTPUT_SHA256 = "9350efd5943e8a97c96d59d8c8be8a73b22c3389afaf66644a6a40079c054e30"
+PINNED_OUTPUT_SHA256 = "0d40bb12e31a73f6622f1ae42a1d29395494ec36aeaf3bd9b7c8535ef7c3fd1c"
 
 
 def test_output_is_pinned_on_small_pairs():
@@ -366,6 +380,40 @@ def test_color_corona_property(g, h):
     assert verify_npd(res.graph, res.coloring).ok
     assert res.coloring.max_color <= res.trace.palette_bound == max_degree(res.graph) + 3
     assert [comp for comp, _ in res.trace.component_cases] == connected_components(g)
+    if h.n:
+        # the structured rules cover every component but an isolated vertex
+        assert all(tag != FALLBACK for comp, tag in res.trace.component_cases if len(comp) > 1)
+
+
+def test_structured_corpus_needs_no_search(monkeypatch):
+    # every connected G with 2-7 vertices times every H with 1-5 vertices (the
+    # sweep corpus without G = K1) colors with the fallback search disabled;
+    # base_coloring's own search is search.npdtc_search, not this name
+    from coronacolor import construct
+
+    def no_search(*args):
+        raise AssertionError("fallback search on a structured component")
+
+    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    hs = [h for nh in range(1, 6) for h in enumerate_subcubic(nh)]
+    pairs = 0
+    for ng in range(2, 8):
+        for g in enumerate_subcubic(ng, connected=True):
+            for h in hs:
+                res = color_corona(g, h)
+                assert verify_npd(res.graph, res.coloring).ok
+                pairs += 1
+    assert pairs == 4592
+
+
+def test_no_structured_component_fails_on_large_random_g():
+    # with K1, the giant components' many leaves are where alpha must avoid
+    # v_j's star product
+    gs = [gen_random_subcubic(1000, s) for s in range(8)] + [gen_random_subcubic(10000, 0)]
+    for g in gs:
+        for h in (new_graph(1), new_graph(2), k(2)):
+            res = color_corona(g, h)
+            assert all(tag != FALLBACK for comp, tag in res.trace.component_cases if len(comp) > 1)
 
 
 def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
@@ -378,8 +426,8 @@ def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
     assert all(t == CASE_2 for _, t in color_corona(g, h).trace.component_cases)
     real_pick = construct.min_copy_color
 
-    def broken_pick(v, base, s_min, delta_g):
-        color, tag = real_pick(v, base, s_min, delta_g)
+    def broken_pick(v, base, s_min, delta_g, v_star):
+        color, tag = real_pick(v, base, s_min, delta_g, v_star)
         if v == 0:
             # product collision only: v's product is star_G(v) times its two
             # corona edge colors delta_g+4 and delta_g+5; the copy vertex's is
