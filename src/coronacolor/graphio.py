@@ -33,18 +33,28 @@ MAX_EDGE_LIST_VERTICES = 1 << 20
 MAX_GRAPH6_BYTES = 1 << 27
 
 
-def _decode_size(vals: list[int]) -> tuple[int, int]:
-    if vals[0] != 63:
-        return vals[0], 1
-    if len(vals) < 4:
+# graph6 writes each 6-bit value x as the byte x + 63, so the alphabet is
+# the bytes 63 ('?', x = 0) to 126 ('~')
+_GRAPH6_ALPHABET = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(bytes(range(64)), _GRAPH6_ALPHABET)
+# '?' (x = 0) to 0 and every other byte to 1, so that bytes.find(1), a memchr,
+# jumps from one payload byte that carries an edge to the next
+_NONZERO_MARKS = bytes(0 if x == 63 else 1 for x in range(256))
+
+
+def _decode_size(data: bytes) -> tuple[int, int]:
+    # 126 is '~', x = 63, which opens the 4- and 8-byte forms
+    if data[0] != 126:
+        return data[0] - 63, 1
+    if len(data) < 4:
         raise TruncatedPayloadError("graph6 size prefix cut short")
-    if vals[1] != 63:
-        return (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
-    if len(vals) < 8:
+    if data[1] != 126:
+        return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
+    if len(data) < 8:
         raise TruncatedPayloadError("graph6 size prefix cut short")
     n = 0
-    for x in vals[2:8]:
-        n = (n << 6) | x
+    for x in data[2:8]:
+        n = (n << 6) | (x - 63)
     return n, 8
 
 
@@ -65,33 +75,35 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise TruncatedPayloadError("empty graph6 text")
-    vals = [ord(ch) - 63 for ch in s]
-    if min(vals) < 0 or max(vals) > 63:
-        ch = next(ch for ch, x in zip(s, vals) if not 0 <= x <= 63)
+    # isascii first: encode() would raise on a lone surrogate
+    if not s.isascii() or (data := s.encode()).translate(None, _GRAPH6_ALPHABET):
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
         raise BadCharError(f"character {ch!r} outside the graph6 alphabet")
-    n, idx = _decode_size(vals)
+    n, idx = _decode_size(data)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    have = len(vals) - idx
+    have = len(data) - idx
     if have < need:
         raise TruncatedPayloadError(f"need {need} payload characters, got {have}")
     if have > need:
         raise TrailingGarbageError(f"{have - need} characters past the adjacency payload")
     if need:
         pad = 6 * need - nbits
-        if pad and vals[idx + need - 1] & ((1 << pad) - 1):
+        if pad and (data[-1] - 63) & ((1 << pad) - 1):
             raise TrailingGarbageError("nonzero padding bits")
     # bit b is pair (i, j), i < j, in column order: b = j(j-1)/2 + i; only
-    # nonzero payload characters are visited
+    # the payload bytes other than '?' (x = 0) are visited
     edges = []
-    for group, x in enumerate(vals[idx:]):
-        if not x:
-            continue
+    marks = data.translate(_NONZERO_MARKS)
+    pos = marks.find(1, idx)
+    while pos >= 0:
+        x = data[pos] - 63
         for off in range(6):
             if (x >> (5 - off)) & 1:
-                b = 6 * group + off
+                b = 6 * (pos - idx) + off
                 j = (1 + isqrt(1 + 8 * b)) // 2
                 edges.append((b - j * (j - 1) // 2, j))
+        pos = marks.find(1, pos + 1)
     return new_graph(n, edges)
 
 
@@ -102,13 +114,14 @@ def graph6_length(n: int) -> int:
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header)."""
-    vals = _encode_size(g.n)
-    nbits = g.n * (g.n - 1) // 2
-    groups = [0] * ((nbits + 5) // 6)
+    head = _encode_size(g.n)
+    base = len(head)
+    buf = bytearray(base + (g.n * (g.n - 1) // 2 + 5) // 6)
+    buf[:base] = head
     for i, j in g.edges:
         group, off = divmod(j * (j - 1) // 2 + i, 6)
-        groups[group] |= 1 << (5 - off)
-    return "".join(chr(x + 63) for x in vals + groups)
+        buf[base + group] |= 1 << (5 - off)
+    return buf.translate(_TO_GRAPH6).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -236,11 +249,12 @@ def document_coloring(doc: ColoringDocument) -> TotalColoring:
 def emit_coloring_json(doc: ColoringDocument) -> str:
     """One top-level key per line, each value (arrays included) on its line
     in compact JSON: a valid JSON object, read back by parse_coloring_json."""
+    # the tuples go to json.dumps as they are: JSON writes them as arrays
     payload = {
         "n": doc.n,
-        "edges": [list(e) for e in doc.edges],
-        "vertex_colors": list(doc.vertex_colors),
-        "edge_colors": list(doc.edge_colors),
+        "edges": doc.edges,
+        "vertex_colors": doc.vertex_colors,
+        "edge_colors": doc.edge_colors,
         "max_color": doc.max_color,
         "corona_map": None
         if doc.corona_map is None

@@ -5,13 +5,25 @@
 ``product_at`` recomputes one closed-star product by scanning every edge,
 independently of ``verify``'s incidence lists.  ``reference_npdtc_search`` is
 the exact search kernel in its earlier form, kept to show that the current one
-visits the same search tree.
+visits the same search tree.  ``reference_parse_graph6`` and
+``reference_emit_graph6`` are the graph6 codec in its earlier form, one Python
+step per character, kept to show that the byte-level one agrees with it on
+every output and every error.
 """
 
 from __future__ import annotations
 
-from coronacolor import EdgeColoring, Graph, TotalColoring, max_degree
-from coronacolor.errors import BudgetExceededError, CoronaColorError, DimensionMismatchError
+from math import isqrt
+
+from coronacolor import EdgeColoring, Graph, TotalColoring, max_degree, new_graph
+from coronacolor.errors import (
+    BadCharError,
+    BudgetExceededError,
+    CoronaColorError,
+    DimensionMismatchError,
+    TrailingGarbageError,
+    TruncatedPayloadError,
+)
 from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _element_order
 
 
@@ -192,3 +204,74 @@ def reference_npdtc_search(
             continue
         trail[depth] = bumped
         depth += 1
+
+
+def _reference_decode_size(vals: list[int]) -> tuple[int, int]:
+    if vals[0] != 63:
+        return vals[0], 1
+    if len(vals) < 4:
+        raise TruncatedPayloadError("graph6 size prefix cut short")
+    if vals[1] != 63:
+        return (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
+    if len(vals) < 8:
+        raise TruncatedPayloadError("graph6 size prefix cut short")
+    n = 0
+    for x in vals[2:8]:
+        n = (n << 6) | x
+    return n, 8
+
+
+def _reference_encode_size(n: int) -> list[int]:
+    if n <= 62:
+        return [n]
+    if n <= 258047:
+        return [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    if n <= 68719476735:
+        return [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
+    raise ValueError("vertex count too large for graph6")
+
+
+def reference_parse_graph6(line: str) -> Graph:
+    """graph6 decoding with one list slot per character of the text."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise TruncatedPayloadError("empty graph6 text")
+    vals = [ord(ch) - 63 for ch in s]
+    if min(vals) < 0 or max(vals) > 63:
+        ch = next(ch for ch, x in zip(s, vals) if not 0 <= x <= 63)
+        raise BadCharError(f"character {ch!r} outside the graph6 alphabet")
+    n, idx = _reference_decode_size(vals)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    have = len(vals) - idx
+    if have < need:
+        raise TruncatedPayloadError(f"need {need} payload characters, got {have}")
+    if have > need:
+        raise TrailingGarbageError(f"{have - need} characters past the adjacency payload")
+    if need:
+        pad = 6 * need - nbits
+        if pad and vals[idx + need - 1] & ((1 << pad) - 1):
+            raise TrailingGarbageError("nonzero padding bits")
+    edges = []
+    for group, x in enumerate(vals[idx:]):
+        if not x:
+            continue
+        for off in range(6):
+            if (x >> (5 - off)) & 1:
+                b = 6 * group + off
+                j = (1 + isqrt(1 + 8 * b)) // 2
+                edges.append((b - j * (j - 1) // 2, j))
+    return new_graph(n, edges)
+
+
+def reference_emit_graph6(g: Graph) -> str:
+    """graph6 encoding with one chr() per character of the text."""
+    vals = _reference_encode_size(g.n)
+    nbits = g.n * (g.n - 1) // 2
+    groups = [0] * ((nbits + 5) // 6)
+    for i, j in g.edges:
+        group, off = divmod(j * (j - 1) // 2 + i, 6)
+        groups[group] |= 1 << (5 - off)
+    return "".join(chr(x + 63) for x in vals + groups)

@@ -348,10 +348,12 @@ def test_fallback_edge_ids_match_edge_index():
 
 # components that reach every rule: an isolated vertex (searched), a lone edge
 # (Case1_1 or Case1_2 when it sets max_degree(G)), paths and cycles (Delta 2),
-# a claw, K4 and the prism (Delta 3)
+# a claw, K4, the prism and LEAFY_G (Delta 3; with K1, alpha must avoid v_j's
+# star product)
 PIECES = [new_graph(1), k(2), new_graph(3, [(0, 1), (1, 2)]), k(3), cycle(5), k(4),
           new_graph(4, [(0, 1), (0, 2), (0, 3)]),
-          new_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])]
+          new_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+          parse_graph6(LEAFY_G)]
 SMALL_H = [new_graph(0)] + [h for nh in range(1, 7) for h in enumerate_subcubic(nh)]
 
 

@@ -1,5 +1,6 @@
-"""Property tests of the parsers: any text fails only with a typed error, and
-graph6 round trips agree with networkx as an independent codec."""
+"""Property tests of the parsers: any text fails only with a typed error,
+graph6 round trips agree with networkx as an independent codec, and the graph6
+codec agrees with its per-character reference on every output and error."""
 
 import json
 import random
@@ -10,11 +11,37 @@ from hypothesis import strategies as st
 
 from coronacolor import emit_graph6, new_graph, parse_coloring_json, parse_edge_list, parse_graph6
 from coronacolor.errors import CoronaColorError
+from oracles import reference_emit_graph6, reference_parse_graph6
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 # printable graph6 characters, the size-prefix marker and a few outsiders
 G6_TEXT = st.text(alphabet=st.sampled_from([chr(c) for c in range(63, 127)] + list("~~?! \n>")), max_size=40)
+G6_CHAR = st.sampled_from([chr(c) for c in range(63, 127)])
+
+
+@st.composite
+def prefixed_graph6(draw):
+    """A 1-, 4- or 8-byte size prefix, then a payload near the length it asks for."""
+    n = draw(st.integers(min_value=0, max_value=90) | st.integers(min_value=0, max_value=1 << 36))
+    shifts = draw(st.sampled_from([(12, 6, 0), (30, 24, 18, 12, 6, 0), ()]))
+    if shifts:
+        head = "~" * (len(shifts) // 3) + "".join(chr(63 + ((n >> s) & 63)) for s in shifts)
+    else:
+        n %= 63
+        head = chr(63 + n)
+    head = head[: draw(st.integers(min_value=1, max_value=len(head)))] if draw(st.booleans()) else head
+    need = min((n * (n - 1) // 2 + 5) // 6, 700)
+    # mostly '?' (no edges), as in the text of a sparse graph
+    body = ["?"] * draw(st.just(need) | st.integers(min_value=max(0, need - 2), max_value=need + 2))
+    for pos, ch in draw(st.lists(st.tuples(st.integers(min_value=1), G6_CHAR), max_size=8)):
+        if body:
+            body[-(pos % len(body)) - 1] = ch
+    if body and draw(st.booleans()):
+        body[-1] = draw(G6_CHAR)  # reaches the padding bits
+    return head + "".join(body)
+
+
 SMALL_INT = st.integers(min_value=-3, max_value=40)
 EDGE_LIST_LINE = st.one_of(
     st.tuples(SMALL_INT, SMALL_INT).map(lambda p: f"{p[0]} {p[1]}"),
@@ -91,3 +118,35 @@ def test_graph6_round_trip_agrees_with_networkx(n, density, seed):
     assert theirs.number_of_nodes() == n
     assert sorted(tuple(sorted(e)) for e in theirs.edges()) == list(g.edges)
     assert nx.to_graph6_bytes(theirs, header=False).decode().strip() == text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except CoronaColorError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    G6_TEXT,
+    st.text(),
+    prefixed_graph6(),
+    st.tuples(st.sampled_from(["", ">>graph6<<", " \n", "\u2003"]), G6_TEXT | prefixed_graph6()).map("".join),
+))
+def test_parse_graph6_matches_reference(text):
+    assert parse_outcome(parse_graph6, text) == parse_outcome(reference_parse_graph6, text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_emit_graph6_matches_reference(n, density, seed):
+    rng = random.Random(seed)
+    # density squared, so that sparse graphs like the subcubic ones are common
+    p = density * density
+    g = new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+    assert emit_graph6(g) == reference_emit_graph6(g)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -17,6 +18,7 @@ from coronacolor import (
     emit_dot,
     emit_edge_list,
     emit_graph6,
+    gen_random_subcubic,
     new_graph,
     parse_coloring_json,
     parse_edge_list,
@@ -81,6 +83,28 @@ def test_graph6_round_trip_against_networkx_all_n_le_6():
 def test_graph6_long_size_form():
     g = new_graph(70, [(0, 69)])
     assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_graph6_round_trip_memory_is_a_small_multiple_of_the_text():
+    # graph6 text grows as n*n/12 whatever the edges, while a subcubic graph
+    # has at most 1.5*n edges: the codec may hold a few copies of the text,
+    # but nothing per character (one list slot per character is 8 bytes or
+    # more, and the int objects behind it more again)
+    g = gen_random_subcubic(5000, 0)
+    tracemalloc.start()
+    try:
+        text = emit_graph6(g)
+        _, emit_peak = tracemalloc.get_traced_memory()
+        line = text + "\n"
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        back = parse_graph6(line)
+        _, parse_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert emit_peak < 6 * len(text)
+    assert parse_peak - before < 6 * len(text)
 
 
 def test_edge_list_round_trip():
