@@ -13,13 +13,15 @@ written by edge position (corona_edge_starts): each copy's vertex colors and
 spokes are slices of one ladder template, and the copy edges repeat the
 second factor's edge coloring.  alpha_j also keeps u^j_{sigma[0]}'s star
 product off v_j's, so every component of two or more vertices is colored
-without search; isolated vertices and an empty second factor get exact search
-within the same palette bound.  One verifier pass over the whole corona then
-checks the assembled coloring; components owning a violation are recolored
-by exact search and the corona is checked again (a proper-coloring clash
-hides product collisions from the verifier, so one pass can miss
-components), until a pass is clean; no known input sends a structured
-component there.  Every returned coloring is verified.
+without search.  With an empty second factor the corona is the first factor
+itself, and its base coloring, an exact search, is the whole coloring (tagged
+Fallback).  An isolated vertex gets exact search of its own corona within the
+same palette bound.  One verifier pass over the whole corona then checks the
+assembled coloring; components owning a violation are searched the same way
+and the corona is checked again (a proper-coloring clash hides product
+collisions from the verifier, so one pass can miss components), until a pass
+is clean; no known input sends a structured component there.  Every returned
+coloring is verified.
 """
 
 from __future__ import annotations
@@ -119,58 +121,45 @@ def min_copy_color(
     raise NoAvoidColorError("all of 1..5 forbidden; subcubic factors forbid four at most")
 
 
-def _component_edge_ids(comp: tuple[int, ...], starts: list[int], h_edges: int) -> list[int]:
-    """Corona edge ids of the subgraph on comp and its copies, in its
-    canonical order: each v's run of g-edges up and spokes, then each v's
-    copy block."""
-    runs = [range(starts[v], starts[v + 1]) for v in comp]
-    runs += [range(starts[-1] + v * h_edges, starts[-1] + (v + 1) * h_edges) for v in comp]
-    return [t for run in runs for t in run]
-
-
-def _fallback_component(cg: Graph, cmap: CoronaMap, comp: tuple[int, ...], vcol: list[int],
+def _fallback_component(g: Graph, h: Graph, comp: tuple[int, ...], vcol: list[int],
                         earr: list[int], starts: list[int], bound: int) -> None:
-    verts = list(comp)
-    for v in comp:
-        verts.extend(cmap.copy_vertex(v + 1, i) for i in range(1, cmap.n_h + 1))
-    sub, verts = subgraph(cg, verts)
+    """Exact search of comp's own corona, which is the induced subgraph of
+    g∘h on comp and its copies with the same labels; its colors go back run
+    by run into the slices the ladder writes."""
+    sub_g = subgraph(g, comp)[0]
     try:
-        tc = npdtc_search(sub, bound, FALLBACK_BUDGET)
+        tc = npdtc_search(corona(sub_g, h)[0], bound, FALLBACK_BUDGET)
     except BudgetExceededError as exc:
         raise FallbackBudgetError(f"fallback search exhausted on component {comp}") from exc
     if tc is None:
         raise AssertionError(f"internal: no coloring with {bound} colors for component {comp}")
-    for v, c in zip(verts, tc.vertex_colors):
-        vcol[v] = c
-    h_edges = (len(cg.edges) - starts[-1]) // cmap.n_g
-    for t, c in zip(_component_edge_ids(comp, starts, h_edges), tc.edge_colors):
-        earr[t] = c
-
-
-def _component_of(element: tuple, cmap: CoronaMap, comp_of: list[int]) -> int:
-    """Component of the first factor owning a violation element: v_j itself,
-    or v_j for a vertex of copy j; an edge lies inside one component, so
-    either endpoint will do."""
-    kind, x = element
-    if kind == "edge":
-        x = x[0]
-    return comp_of[cmap.role(x).j - 1]
+    sub_starts = corona_edge_starts(sub_g, h.n)
+    vc, ec, n_h, m_h = tc.vertex_colors, tc.edge_colors, h.n, len(h.edges)
+    for i, v in enumerate(comp):
+        vcol[v] = vc[i]
+        copy = len(comp) + i * n_h
+        vcol[g.n + v * n_h:g.n + (v + 1) * n_h] = vc[copy:copy + n_h]
+        earr[starts[v]:starts[v + 1]] = ec[sub_starts[i]:sub_starts[i + 1]]
+        block = sub_starts[-1] + i * m_h
+        earr[starts[-1] + v * m_h:starts[-1] + (v + 1) * m_h] = ec[block:block + m_h]
 
 
 def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
-    An isolated vertex, or any component when h is empty, gets exact search;
-    every other component keeps the base coloring of g and lays each of its
-    copies along the ladder, with dg the global maximum degree so that all
-    components share one palette bound, and position 1 colored by
+    g's vertices and edges keep g's base coloring; with h empty the corona
+    is g and nothing more is colored, though its components stay tagged
+    Fallback.  Otherwise every component but an isolated vertex lays each of
+    its copies along the ladder, with dg the global maximum degree so that
+    all components share one palette bound, and position 1 colored by
     ``min_copy_color``; in Case1_1 the component edge takes beta too and its
-    ends the other two colors of {1,2,3}.  The whole corona is then verified
-    in one pass; the components owning a violation are recolored by exact
-    search and the corona is verified again, until a pass is clean.  A
-    violation inside a component that was already searched is an internal
-    error.
+    ends the other two colors of {1,2,3}.  One loop searches components:
+    the isolated vertices first, then, after each verifier pass over the
+    whole corona, the components owning a violation, until a pass is clean.
+    A component is searched as its own corona, the induced subgraph of g∘h
+    on it and its copies.  A violation inside a component that was already
+    searched is an internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -183,13 +172,17 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     earr = [0] * len(cg.edges)
     comps = connected_components(g)
     tags = [FALLBACK] * len(comps)
+    base = base_coloring(g)
+    vcol[:g.n] = base.vertex_colors
+    for v in range(g.n):
+        up = starts[v + 1] - h.n  # spokes start; g-edges up sit v*|V(h)| past g.edges
+        earr[starts[v]:up] = base.edge_colors[starts[v] - v * h.n:up - v * h.n]
+    todo: list[int] = []  # components to search: isolated vertices first
     sigma: tuple[int, ...] = ()
     if h.n:
-        base = base_coloring(g)
         ecol = vizing_color(h)
         sigma = sort_by_product(ecol, h)
         s_min = edge_colors_at(h, ecol, sigma[0])
-        vcol[:g.n] = base.vertex_colors
         earr[starts[g.n]:] = ecol.colors * g.n
         # copy j's vertex colors and spokes in h's vertex order
         ladder, spokes = [0] * h.n, [0] * h.n
@@ -200,14 +193,12 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
+                todo.append(ci)
                 continue
             for v in comp:
                 ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg, star[v] * tail)
-                off = cmap.copy_vertex(v + 1, 1)
-                vcol[off:off + h.n] = ladder
-                up = starts[v + 1] - h.n  # spokes start; g-edges up sit v*|V(h)| past g.edges
-                earr[starts[v]:up] = base.edge_colors[starts[v] - v * h.n:up - v * h.n]
-                earr[up:starts[v + 1]] = spokes
+                vcol[g.n + v * h.n:g.n + (v + 1) * h.n] = ladder
+                earr[starts[v + 1] - h.n:starts[v + 1]] = spokes
             if tags[ci] == CASE_1_1:  # the position-1 color is beta
                 v1, v2 = comp
                 beta = ladder[sigma[0]]
@@ -217,26 +208,30 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-        if tags[ci] == FALLBACK:
-            _fallback_component(cg, cmap, comp, vcol, earr, starts, bound)
     while True:
+        for ci in todo:
+            tags[ci] = FALLBACK
+            _fallback_component(g, h, comps[ci], vcol, earr, starts, bound)
         coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
         report = verify_npd(cg, coloring)
         if report.ok:
             break
-        flagged = sorted({_component_of(v.elements[0], cmap, comp_of) for v in report.violations})
-        if any(tags[ci] == FALLBACK for ci in flagged):
+        owners = set()
+        for violation in report.violations:
+            kind, x = violation.elements[0]
+            x = x[0] if kind == "edge" else x  # an edge lies inside one component
+            # v_j, or copy j's v_j; with h empty the corona is g, so x < g.n
+            # and nothing is divided by h.n
+            owners.add(comp_of[x if x < g.n else (x - g.n) // h.n])
+        todo = sorted(owners)
+        if any(tags[ci] == FALLBACK for ci in todo):
             raise AssertionError(
                 f"internal: constructed coloring failed verification: {report.violations[:3]}"
             )
-        for ci in flagged:
-            tags[ci] = FALLBACK
-            _fallback_component(cg, cmap, comps[ci], vcol, earr, starts, bound)
     if coloring.max_color > bound:
         raise AssertionError(f"internal: {coloring.max_color} colors exceed bound {bound}")
-    unique = set(tags)
     trace = ConstructionTrace(
-        case_tag=tags[0] if len(unique) == 1 else MIXED,
+        case_tag=tags[0] if len(set(tags)) == 1 else MIXED,
         sigma=sigma,
         component_cases=tuple((comp, tags[ci]) for ci, comp in enumerate(comps)),
         palette_bound=bound,

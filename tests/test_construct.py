@@ -15,7 +15,6 @@ from coronacolor import (
     connected_components,
     corona,
     edge_colors_at,
-    edge_index,
     enumerate_subcubic,
     gen_random_subcubic,
     is_connected,
@@ -308,7 +307,7 @@ def test_single_edge_g_output_is_pinned():
 
 # SHA-256 of the same records over G∘(empty H) for every enumerate_subcubic(ng),
 # ng in 1..6 (103 graphs): the corona is G itself, with no spokes and no copy
-# block, and every component is searched
+# block, and G's base coloring colors it whole
 EMPTY_H_SHA256 = "1c35f7cb4d03133bc7e592645228e729caa9a2214e72ca90058316dd1d0616e1"
 
 
@@ -328,22 +327,45 @@ def test_empty_h_output_is_pinned():
     assert digest.hexdigest() == EMPTY_H_SHA256
 
 
-def test_fallback_edge_ids_match_edge_index():
-    from coronacolor.construct import _component_edge_ids
-    from coronacolor.graph import corona_edge_starts
+# SHA-256 of the same records over every G with 1-5 vertices and an isolated
+# vertex (19 graphs) times every H with 5 or 6 vertices (85 graphs): each
+# isolated vertex is searched as its own corona and written back into the
+# whole corona's vertex and edge slices
+ISOLATED_G_SHA256 = "dcc971b14cb32250cc779bd3b8c03f9abf05d5d7b34449b8f08a3aa2a6257698"
 
+
+def test_isolated_vertex_output_is_pinned():
+    import hashlib
+
+    gs = [g for ng in range(1, 6) for g in enumerate_subcubic(ng) if not all(g.adj)]
+    hs = [*enumerate_subcubic(5), *enumerate_subcubic(6)]
+    digest = hashlib.sha256()
+    pairs = 0
+    for g in gs:
+        for h in hs:
+            res = color_corona(g, h)
+            c, t = res.coloring, res.trace
+            record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
+            digest.update(repr(record).encode() + b"\n")
+            pairs += 1
+    assert (len(gs), len(hs), pairs) == (19, 85, 1615)
+    assert digest.hexdigest() == ISOLATED_G_SHA256
+
+
+def test_component_corona_is_the_induced_subgraph():
+    # what the fallback search colors: a component's own corona is the
+    # subgraph of g∘h on the component and its copies, labels and edge order
+    # included
     gs = [g for ng in range(2, 7) for g in enumerate_subcubic(ng) if not is_connected(g)]
     hs = [new_graph(0)] + [h for nh in range(1, 4) for h in enumerate_subcubic(nh)]
     for g in gs:
         for h in hs:
             cg, cmap = corona(g, h)
-            eidx = edge_index(cg)
-            starts = corona_edge_starts(g, h.n)
             for comp in connected_components(g):
                 copies = [cmap.copy_vertex(v + 1, i) for v in comp for i in range(1, h.n + 1)]
                 sub, verts = subgraph(cg, [*comp, *copies])
-                ids = [eidx[(verts[a], verts[b])] for a, b in sub.edges]
-                assert _component_edge_ids(comp, starts, len(h.edges)) == ids
+                assert verts == (*comp, *copies)
+                assert corona(subgraph(g, comp)[0], h)[0] == sub
 
 
 # components that reach every rule: an isolated vertex (searched), a lone edge
@@ -408,6 +430,23 @@ def test_structured_corpus_needs_no_search(monkeypatch):
     assert pairs == 4592
 
 
+def test_empty_h_needs_no_component_search(monkeypatch):
+    # G∘(empty H) is G, and G's base coloring colors it whole; every G with
+    # 1-7 vertices, disconnected ones included
+    from coronacolor import construct
+
+    def no_search(*args):
+        raise AssertionError("component search with an empty H")
+
+    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    gs = [g for ng in range(1, 8) for g in enumerate_subcubic(ng)]
+    for g in gs:
+        res = color_corona(g, new_graph(0))
+        assert verify_npd(res.graph, res.coloring).ok
+        assert all(tag == FALLBACK for _, tag in res.trace.component_cases)
+    assert len(gs) == 253
+
+
 def test_no_structured_component_fails_on_large_random_g():
     # with K1, the giant components' many leaves are where alpha must avoid
     # v_j's star product
@@ -418,7 +457,14 @@ def test_no_structured_component_fails_on_large_random_g():
             assert all(tag != FALLBACK for comp, tag in res.trace.component_cases if len(comp) > 1)
 
 
+# SHA-256 of repr((vertex_colors, edge_colors)) of the test below: the two
+# searched components are written back beside two ladder components
+COLLISION_SHA256 = "b9ac9c7ebc99a124b5d2d4bfb57b76f81d808b562affcc679af9649c4aa23abe"
+
+
 def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
+    import hashlib
+
     from coronacolor import construct
 
     # a triangle, a path, a triangle and a claw: every component is Case2
@@ -458,6 +504,8 @@ def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
     assert tags == {(0, 1, 2): FALLBACK, (3, 4, 5): CASE_2, (6, 7, 8): FALLBACK,
                     (9, 10, 11, 12): CASE_2}
     assert res.trace.case_tag == MIXED
+    digest = hashlib.sha256(repr((res.coloring.vertex_colors, res.coloring.edge_colors)).encode())
+    assert digest.hexdigest() == COLLISION_SHA256
     # the clash hides the collision from the first pass
     assert len(verify_calls) == 3
     assert "VertexVertexClash" in verify_calls[0] and "ProductCollision" not in verify_calls[0]
@@ -479,3 +527,17 @@ def test_violation_in_a_searched_component_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(construct, "npdtc_search", clashing_search)
     with pytest.raises(AssertionError, match="failed verification"):
         color_corona(new_graph(1), k(2))  # an isolated vertex: searched at once
+
+
+def test_violation_with_an_empty_h_is_an_internal_error(monkeypatch):
+    # with H empty the corona is G, so a violation's owner is a vertex of G
+    # and is found without dividing by |V(H)|
+    from coronacolor import construct
+    from coronacolor.search import TotalColoring
+
+    def clashing_base(g):
+        return TotalColoring((1,) * g.n, (2,) * len(g.edges), 2)
+
+    monkeypatch.setattr(construct, "base_coloring", clashing_base)
+    with pytest.raises(AssertionError, match="failed verification"):
+        color_corona(new_graph(4, [(0, 1), (2, 3)]), new_graph(0))
