@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
 from .errors import BudgetExceededError, FallbackBudgetError, NoAvoidColorError
@@ -36,7 +36,7 @@ from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_
                     max_degree, require_subcubic, subgraph)
 from .graph import edge_index  # unused here; perfbench's tracer patches construct.edge_index
 from .search import TotalColoring, base_coloring, npdtc_search
-from .verify import verify_npd
+from .verify import star_products, verify_npd
 
 CASE_1_1 = "Case1_1"
 CASE_1_2 = "Case1_2"
@@ -71,18 +71,9 @@ class ColorResult(NamedTuple):
     trace: ConstructionTrace
 
 
-def _star_products(start: Sequence[int], g: Graph, colors: Sequence[int]) -> list[int]:
-    """start[x] times the colors of x's edges in g, for every vertex x."""
-    prod = list(start)
-    for (a, b), c in zip(g.edges, colors):
-        prod[a] *= c
-        prod[b] *= c
-    return prod
-
-
 def sort_by_product(ecol: EdgeColoring, h: Graph) -> tuple[int, ...]:
     """h's vertices by nondecreasing incident edge-color product, ties by index."""
-    prod = _star_products([1] * h.n, h, ecol.colors)
+    prod = star_products([1] * h.n, h, ecol.colors)
     return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
@@ -189,7 +180,7 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         for pos, u in enumerate(sigma, 1):
             ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
         # min_copy_color's v_star: star products in the base coloring, spokes 2..4
-        star = _star_products(base.vertex_colors, g, base.edge_colors)
+        star = star_products(base.vertex_colors, g, base.edge_colors)
         tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
         for ci, comp in enumerate(comps):
             if len(comp) == 1:

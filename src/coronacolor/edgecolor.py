@@ -24,15 +24,17 @@ def vizing_color(h: Graph) -> EdgeColoring:
     """Proper edge coloring with the fixed palette 1..max_degree(h)+1.
 
     Edges are inserted in canonical order.  When no color is free at both
-    endpoints, a maximal fan is built at the first endpoint and recolored,
-    inverting one two-colored alternating path if needed.  Ties always break
-    to the lowest color and the smallest vertex, so the output is a
-    deterministic function of the graph.
+    endpoints, a maximal fan is built at the first endpoint, walking its
+    neighbors in adjacency order, and recolored, inverting one two-colored
+    alternating path if needed.  Ties always break to the lowest color and the
+    smallest vertex, so the output is a deterministic function of the graph.
+    Each color is stored once, in one map per vertex from color to the
+    neighbor across that edge; an insertion reads the first endpoint's colors
+    by neighbor from a snapshot of its map, taken again after an inversion.
     """
     if not h.edges:
         return EdgeColoring((), 1)
     k = max_degree(h) + 1
-    col: list[dict[int, int]] = [dict() for _ in range(h.n)]  # vertex -> neighbor -> color
     at: list[dict[int, int]] = [dict() for _ in range(h.n)]  # vertex -> color -> neighbor
 
     def free(v: int) -> int:
@@ -40,21 +42,6 @@ def vizing_color(h: Graph) -> EdgeColoring:
             if c not in at[v]:
                 return c
         raise AssertionError("degree exceeds palette")
-
-    def assign(a: int, b: int, c: int) -> None:
-        old = col[a].get(b)
-        if old is not None:
-            del at[a][old]
-            del at[b][old]
-        col[a][b] = col[b][a] = c
-        at[a][c] = b
-        at[b][c] = a
-
-    def unassign(a: int, b: int) -> None:
-        old = col[a].pop(b)
-        del col[b][a]
-        del at[a][old]
-        del at[b][old]
 
     def invert_path(u: int, c: int, d: int) -> None:
         # walk the maximal path from u alternating d, c, then swap the two colors
@@ -69,11 +56,11 @@ def vizing_color(h: Graph) -> EdgeColoring:
             del at[b][old]
         for a, b, old in path:
             new = c if old == d else d
-            col[a][b] = col[b][a] = new
             at[a][new] = b
             at[b][new] = a
 
     for u, v in h.edges:
+        col_u = {w: c for c, w in at[u].items()}  # neighbor -> color of its edge to u
         fan = [v]
         in_fan = {v}
         while True:
@@ -82,7 +69,7 @@ def vizing_color(h: Graph) -> EdgeColoring:
             for w in h.adj[u]:
                 if w in in_fan:
                     continue
-                cw = col[u].get(w)
+                cw = col_u.get(w)
                 if cw is not None and cw not in at[last]:
                     nxt = w
                     break
@@ -94,19 +81,25 @@ def vizing_color(h: Graph) -> EdgeColoring:
         d = free(fan[-1])
         if c != d and d in at[u]:
             invert_path(u, c, d)
+            col_u = {w: c for c, w in at[u].items()}
         # shortest fan prefix that stays a fan and ends where d is free
         w_idx = None
         for i, x in enumerate(fan):
             if d in at[x]:
                 continue
-            if all(col[u][fan[j]] not in at[fan[j - 1]] for j in range(1, i + 1)):
+            if all(col_u[fan[j]] not in at[fan[j - 1]] for j in range(1, i + 1)):
                 w_idx = i
                 break
         if w_idx is None:
             raise AssertionError("fan recoloring failed")
+        # u-fan[j] hands its color to u-fan[j-1]; u-fan[0] is the uncolored
+        # edge being inserted, and each later one was uncolored the step before
         for j in range(1, w_idx + 1):
-            cj = col[u][fan[j]]
-            unassign(u, fan[j])
-            assign(u, fan[j - 1], cj)
-        assign(u, fan[w_idx], d)
+            cj = col_u[fan[j]]
+            del at[fan[j]][cj]
+            at[u][cj] = fan[j - 1]
+            at[fan[j - 1]][cj] = u
+        at[u][d] = fan[w_idx]
+        at[fan[w_idx]][d] = u
+    col = [{w: c for c, w in m.items()} for m in at]  # vertex -> neighbor -> color
     return EdgeColoring(tuple(col[a][b] for a, b in h.edges), k)

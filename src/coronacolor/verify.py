@@ -5,12 +5,19 @@ clash and every collision is listed, not just the first.  A coloring is
 first checked in one pass over the vertices and edges, in O(n + m) time and
 memory whatever the color values; the report is built only when that pass
 finds a violation or the colors are too far apart for its flags.
+
+``star_products`` is the one closed-star fold of the package: the exhaustive
+report takes its products from it, and the construction its edge-color
+products and v_star.  The one-pass check folds its own products inline, so
+every coloring ``color_corona`` returns is checked by code apart from the
+fold that built it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DimensionMismatchError
 from .graph import Graph
@@ -54,15 +61,13 @@ def _incidence(g: Graph) -> list[list[int]]:
     return inc
 
 
-def _products(g: Graph, coloring: TotalColoring, inc: list[list[int]]) -> dict[int, int]:
-    ecol = coloring.edge_colors
-    out: dict[int, int] = {}
-    for v in range(g.n):
-        p = coloring.vertex_colors[v]
-        for t in inc[v]:
-            p *= ecol[t]
-        out[v] = p
-    return out
+def star_products(start: Sequence[int], g: Graph, colors: Sequence[int]) -> list[int]:
+    """start[x] times the colors of x's edges in g, for every vertex x."""
+    prod = list(start)
+    for (a, b), c in zip(g.edges, colors):
+        prod[a] *= c
+        prod[b] *= c
+    return prod
 
 
 def _clean_products(g: Graph, coloring: TotalColoring) -> dict[int, int] | None:
@@ -134,7 +139,8 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
                             (c,),
                         )
                     )
-    products = _products(g, coloring, inc) if all(c >= 1 for c in vcol + ecol) else {}
+    positive = all(c >= 1 for c in vcol + ecol)
+    products = dict(enumerate(star_products(vcol, g, ecol))) if positive else {}
     return VerifyReport(not violations, tuple(violations), products)
 
 

@@ -3,12 +3,12 @@
 ``chi_prime_exact`` and ``product_at`` are brute force by design:
 ``chi_prime_exact`` is the oracle for ``vizing_color``'s palette bound, and
 ``product_at`` recomputes one closed-star product by scanning every edge,
-independently of ``verify``'s incidence lists.  ``reference_npdtc_search`` is
-the exact search kernel in its earlier form, kept to show that the current one
-visits the same search tree.  ``reference_parse_graph6`` and
-``reference_emit_graph6`` are the graph6 codec in its earlier form, one Python
-step per character, kept to show that the byte-level one agrees with it on
-every output and every error.
+independently of ``verify.star_products`` and of the verifier's one-pass
+check.  ``reference_npdtc_search`` is the exact search kernel in its earlier
+form, kept to show that the current one visits the same search tree.
+``reference_parse_graph6`` and ``reference_emit_graph6`` are the graph6 codec
+in its earlier form, one Python step per character, kept to show that the
+byte-level one agrees with it on every output and every error.
 """
 
 from __future__ import annotations
