@@ -78,15 +78,18 @@ def _write(path: str | None, text: str, code: int = 2) -> None:
 
 @contextmanager
 def _computing(budget_code: int = 4) -> Iterator[None]:  # 4 in color, 5 in chi
-    """Raise the library's documented failures inside as CLI failures."""
+    """Raise the library's documented failures inside as CLI failures; a
+    failed internal check (an AssertionError) is an internal error, exit 5."""
     try:
         yield
     except NotSubcubicError as exc:
         raise _Failure(3, f"not subcubic: {exc}") from exc
-    except BudgetExceededError as exc:  # base search on G or fallback search
+    except BudgetExceededError as exc:  # base search on G or the cone search
         raise _Failure(budget_code, f"budget exceeded: {exc}") from exc
     except ValueError as exc:
         raise _Failure(2, f"bad instance: {exc}") from exc
+    except AssertionError as exc:
+        raise _Failure(5, f"internal error: {exc}") from exc
 
 
 # Size checks run before anything is built: coronas and graph6 texts grow with n.

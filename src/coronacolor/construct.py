@@ -15,13 +15,11 @@ second factor's edge coloring.  alpha_j also keeps u^j_{sigma[0]}'s star
 product off v_j's, so every component of two or more vertices is colored
 without search.  With an empty second factor the corona is the first factor
 itself, and its base coloring, an exact search, is the whole coloring (tagged
-Fallback).  An isolated vertex gets exact search of its own corona within the
-same palette bound.  One verifier pass over the whole corona then checks the
-assembled coloring; components owning a violation are searched the same way
-and the corona is checked again (a proper-coloring clash hides product
-collisions from the verifier, so one pass can miss components), until a pass
-is clean; no known input sends a structured component there.  Every returned
-coloring is verified.
+Fallback).  An isolated vertex's component is the cone K1∘H, the same for
+every isolated vertex, so it is searched once within the same palette bound
+and its coloring written into each cone.  One verifier pass over the whole
+corona then checks the assembled coloring; a violation is an internal error,
+never repaired.  Every returned coloring is verified.
 """
 
 from __future__ import annotations
@@ -31,10 +29,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
-from .errors import BudgetExceededError, FallbackBudgetError, NoAvoidColorError
+from .errors import BudgetExceededError, FallbackBudgetError
 from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_starts,
-                    max_degree, require_subcubic, subgraph)
-from .graph import edge_index  # unused here; perfbench's tracer patches construct.edge_index
+                    max_degree, new_graph, require_subcubic)
+from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches both names
 from .search import TotalColoring, base_coloring, npdtc_search
 from .verify import star_products, verify_npd
 
@@ -44,7 +42,7 @@ CASE_2 = "Case2"
 FALLBACK = "Fallback"
 MIXED = "Mixed"
 
-FALLBACK_BUDGET = 30_000_000  # node budget of each fallback search
+FALLBACK_BUDGET = 30_000_000  # node budget of the isolated-vertex cone search
 
 
 @dataclass(frozen=True)
@@ -103,36 +101,24 @@ def min_copy_color(
             return 4, CASE_1_2
         free = {1, 2, 3} - s_min
         if not free:
-            raise NoAvoidColorError("no color of {1,2,3} misses the minimum-product vertex")
+            raise AssertionError("internal: no color of {1,2,3} misses the minimum-product vertex")
         return min(free), CASE_1_1
     p_min = math.prod(s_min)
     for c in (1, 2, 3, 4, 5):
         if c not in s_min and c != base.vertex_colors[v] and c * p_min != v_star:
             return c, CASE_2
-    raise NoAvoidColorError("all of 1..5 forbidden; subcubic factors forbid four at most")
+    raise AssertionError("internal: all of 1..5 forbidden; subcubic factors forbid four at most")
 
 
-def _fallback_component(g: Graph, h: Graph, comp: tuple[int, ...], vcol: list[int],
-                        earr: list[int], starts: list[int], bound: int) -> None:
-    """Exact search of comp's own corona, which is the induced subgraph of
-    g∘h on comp and its copies with the same labels; its colors go back run
-    by run into the slices the ladder writes."""
-    sub_g = subgraph(g, comp)[0]
+def _cone_coloring(h: Graph, bound: int) -> TotalColoring:
+    """Exact search of K1∘h, the corona of any isolated vertex, within bound."""
     try:
-        tc = npdtc_search(corona(sub_g, h)[0], bound, FALLBACK_BUDGET)
+        tc = npdtc_search(corona(new_graph(1), h)[0], bound, FALLBACK_BUDGET)
     except BudgetExceededError as exc:
-        raise FallbackBudgetError(f"fallback search exhausted on component {comp}") from exc
+        raise FallbackBudgetError("fallback search exhausted on the cone K1∘H") from exc
     if tc is None:
-        raise AssertionError(f"internal: no coloring with {bound} colors for component {comp}")
-    sub_starts = corona_edge_starts(sub_g, h.n)
-    vc, ec, n_h, m_h = tc.vertex_colors, tc.edge_colors, h.n, len(h.edges)
-    for i, v in enumerate(comp):
-        vcol[v] = vc[i]
-        copy = len(comp) + i * n_h
-        vcol[g.n + v * n_h:g.n + (v + 1) * n_h] = vc[copy:copy + n_h]
-        earr[starts[v]:starts[v + 1]] = ec[sub_starts[i]:sub_starts[i + 1]]
-        block = sub_starts[-1] + i * m_h
-        earr[starts[-1] + v * m_h:starts[-1] + (v + 1) * m_h] = ec[block:block + m_h]
+        raise AssertionError(f"internal: no coloring of the cone K1∘H with {bound} colors")
+    return tc
 
 
 def color_corona(g: Graph, h: Graph) -> ColorResult:
@@ -145,12 +131,11 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     its copies along the ladder, with dg the global maximum degree so that
     all components share one palette bound, and position 1 colored by
     ``min_copy_color``; in Case1_1 the component edge takes beta too and its
-    ends the other two colors of {1,2,3}.  One loop searches components:
-    the isolated vertices first, then, after each verifier pass over the
-    whole corona, the components owning a violation, until a pass is clean.
-    A component is searched as its own corona, the induced subgraph of g∘h
-    on it and its copies.  A violation inside a component that was already
-    searched is an internal error.
+    ends the other two colors of {1,2,3}.  Every isolated vertex takes the
+    coloring of the cone K1∘h, searched once, run by run: the hub's color,
+    the copy's vertex colors, the spokes and the copy block.  One verifier
+    pass over the whole corona checks the result; a violation is an internal
+    error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -168,7 +153,6 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     for v in range(g.n):
         up = starts[v + 1] - h.n  # spokes start; g-edges up sit v*|V(h)| past g.edges
         earr[starts[v]:up] = base.edge_colors[starts[v] - v * h.n:up - v * h.n]
-    todo: list[int] = []  # components to search: isolated vertices first
     sigma: tuple[int, ...] = ()
     if h.n:
         ecol = vizing_color(h)
@@ -184,7 +168,6 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
         for ci, comp in enumerate(comps):
             if len(comp) == 1:
-                todo.append(ci)
                 continue
             for v in comp:
                 ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg, star[v] * tail)
@@ -195,30 +178,21 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
                 beta = ladder[sigma[0]]
                 vcol[v1], vcol[v2] = sorted({1, 2, 3} - {beta})
                 earr[starts[v1]] = beta
-    comp_of = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    while True:
-        for ci in todo:
-            tags[ci] = FALLBACK
-            _fallback_component(g, h, comps[ci], vcol, earr, starts, bound)
-        coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
-        report = verify_npd(cg, coloring)
-        if report.ok:
-            break
-        owners = set()
-        for violation in report.violations:
-            kind, x = violation.elements[0]
-            x = x[0] if kind == "edge" else x  # an edge lies inside one component
-            # v_j, or copy j's v_j; with h empty the corona is g, so x < g.n
-            # and nothing is divided by h.n
-            owners.add(comp_of[x if x < g.n else (x - g.n) // h.n])
-        todo = sorted(owners)
-        if any(tags[ci] == FALLBACK for ci in todo):
-            raise AssertionError(
-                f"internal: constructed coloring failed verification: {report.violations[:3]}"
-            )
+        isolated = [comp[0] for comp in comps if len(comp) == 1]
+        if isolated:
+            cone = _cone_coloring(h, bound)
+            vc, ec, m_h = cone.vertex_colors, cone.edge_colors, len(h.edges)
+            for v in isolated:  # K1∘h's runs: hub, copy, spokes, copy block
+                vcol[v] = vc[0]
+                vcol[g.n + v * h.n:g.n + (v + 1) * h.n] = vc[1:]
+                earr[starts[v]:starts[v + 1]] = ec[:h.n]
+                earr[starts[-1] + v * m_h:starts[-1] + (v + 1) * m_h] = ec[h.n:]
+    coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
+    report = verify_npd(cg, coloring)
+    if not report.ok:
+        raise AssertionError(
+            f"internal: constructed coloring failed verification: {report.violations[:3]}"
+        )
     if coloring.max_color > bound:
         raise AssertionError(f"internal: {coloring.max_color} colors exceed bound {bound}")
     trace = ConstructionTrace(

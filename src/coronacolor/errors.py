@@ -53,9 +53,5 @@ class BudgetExceededError(CoronaColorError):
     """An exact search ran out of its node-expansion budget."""
 
 
-class NoAvoidColorError(CoronaColorError):
-    """No avoidance color was available; indicates a broken precondition."""
-
-
 class FallbackBudgetError(BudgetExceededError):
-    """The fallback search for a corona component exceeded its budget."""
+    """The cone search for the isolated vertices of G exceeded its budget."""

@@ -175,6 +175,22 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
     assert err == "budget exceeded: forced base\n"
 
 
+def test_color_internal_error_exit(tmp_path, monkeypatch, capsys):
+    from coronacolor import construct
+
+    # copy 1's position-1 vertex takes position 2's color: the coloring
+    # fails its one verification pass
+    def clashing_pick(v, base, s_min, delta_g, v_star):
+        return delta_g + 4, construct.CASE_2
+
+    monkeypatch.setattr(construct, "min_copy_color", clashing_pick)
+    gp = write_g6(tmp_path / "g.g6", k(3))
+    assert main(["color", "--g", gp, "--h", gp]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line(captured.err, "internal error:")
+
+
 def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     assert main(["gen", "--n", "0"]) == 2
     assert_one_line(capsys.readouterr().err, "bad instance:")

@@ -457,14 +457,7 @@ def test_no_structured_component_fails_on_large_random_g():
             assert all(tag != FALLBACK for comp, tag in res.trace.component_cases if len(comp) > 1)
 
 
-# SHA-256 of repr((vertex_colors, edge_colors)) of the test below: the two
-# searched components are written back beside two ladder components
-COLLISION_SHA256 = "b9ac9c7ebc99a124b5d2d4bfb57b76f81d808b562affcc679af9649c4aa23abe"
-
-
-def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
-    import hashlib
-
+def test_injected_violations_are_an_internal_error(monkeypatch):
     from coronacolor import construct
 
     # a triangle, a path, a triangle and a claw: every component is Case2
@@ -497,19 +490,39 @@ def test_collision_hidden_behind_a_clash_is_found_on_the_next_pass(monkeypatch):
 
     monkeypatch.setattr(construct, "min_copy_color", broken_pick)
     monkeypatch.setattr(construct, "verify_npd", counting_verify)
-    res = color_corona(g, h)
-    assert verify_npd(res.graph, res.coloring).ok
-    assert res.coloring.max_color <= res.trace.palette_bound
-    tags = dict(res.trace.component_cases)
-    assert tags == {(0, 1, 2): FALLBACK, (3, 4, 5): CASE_2, (6, 7, 8): FALLBACK,
-                    (9, 10, 11, 12): CASE_2}
-    assert res.trace.case_tag == MIXED
-    digest = hashlib.sha256(repr((res.coloring.vertex_colors, res.coloring.edge_colors)).encode())
-    assert digest.hexdigest() == COLLISION_SHA256
-    # the clash hides the collision from the first pass
-    assert len(verify_calls) == 3
-    assert "VertexVertexClash" in verify_calls[0] and "ProductCollision" not in verify_calls[0]
-    assert verify_calls[1:] == [["ProductCollision"], []]
+    with pytest.raises(AssertionError, match="failed verification"):
+        color_corona(g, h)
+    # one pass over the whole corona, and nothing is repaired after it
+    assert len(verify_calls) == 1
+    assert "VertexVertexClash" in verify_calls[0]
+
+
+def test_isolated_vertices_share_one_cone_search(monkeypatch):
+    # every isolated vertex's component is the cone K1∘H, searched once per
+    # call; each copy block then carries the same colors
+    from coronacolor import construct
+
+    calls = []
+    real_search = construct.npdtc_search
+
+    def counting_search(sub, bound, budget):
+        calls.append(sub)
+        return real_search(sub, bound, budget)
+
+    monkeypatch.setattr(construct, "npdtc_search", counting_search)
+    g = new_graph(5, [(0, 1)])
+    hs = [h for nh in range(1, 5) for h in enumerate_subcubic(nh)]
+    for h in hs:
+        calls.clear()
+        res = color_corona(g, h)
+        assert len(calls) == 1
+        vc, ec = res.coloring.vertex_colors, res.coloring.edge_colors
+        m_h, block0 = len(h.edges), len(res.graph.edges) - 5 * len(h.edges)
+        copies = {vc[5 + v * h.n:5 + (v + 1) * h.n] for v in (2, 3, 4)}
+        blocks = {ec[block0 + v * m_h:block0 + (v + 1) * m_h] for v in (2, 3, 4)}
+        assert len(copies) == len(blocks) == 1
+        assert [tag for _, tag in res.trace.component_cases][1:] == [FALLBACK] * 3
+    assert len(hs) == 18
 
 
 def test_violation_in_a_searched_component_is_an_internal_error(monkeypatch):
