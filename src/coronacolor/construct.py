@@ -28,8 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import search
 from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
-from .errors import BudgetExceededError, FallbackBudgetError
+from .errors import BudgetExceededError
 from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_starts,
                     max_degree, new_graph, require_subcubic)
 from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches both names
@@ -41,8 +42,6 @@ CASE_1_2 = "Case1_2"
 CASE_2 = "Case2"
 FALLBACK = "Fallback"
 MIXED = "Mixed"
-
-FALLBACK_BUDGET = 30_000_000  # node budget of the isolated-vertex cone search
 
 
 @dataclass(frozen=True)
@@ -101,23 +100,23 @@ def min_copy_color(
             return 4, CASE_1_2
         free = {1, 2, 3} - s_min
         if not free:
-            raise AssertionError("internal: no color of {1,2,3} misses the minimum-product vertex")
+            raise AssertionError("no color of {1,2,3} misses the minimum-product vertex")
         return min(free), CASE_1_1
     p_min = math.prod(s_min)
     for c in (1, 2, 3, 4, 5):
         if c not in s_min and c != base.vertex_colors[v] and c * p_min != v_star:
             return c, CASE_2
-    raise AssertionError("internal: all of 1..5 forbidden; subcubic factors forbid four at most")
+    raise AssertionError("all of 1..5 forbidden; subcubic factors forbid four at most")
 
 
 def _cone_coloring(h: Graph, bound: int) -> TotalColoring:
     """Exact search of K1∘h, the corona of any isolated vertex, within bound."""
     try:
-        tc = npdtc_search(corona(new_graph(1), h)[0], bound, FALLBACK_BUDGET)
+        tc = npdtc_search(corona(new_graph(1), h)[0], bound, search.BASE_BUDGET)
     except BudgetExceededError as exc:
-        raise FallbackBudgetError("fallback search exhausted on the cone K1∘H") from exc
+        raise BudgetExceededError(f"cone search exhausted on K1∘H with |V(H)|={h.n}") from exc
     if tc is None:
-        raise AssertionError(f"internal: no coloring of the cone K1∘H with {bound} colors")
+        raise AssertionError(f"no coloring of the cone K1∘H with {bound} colors")
     return tc
 
 
@@ -191,10 +190,10 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     report = verify_npd(cg, coloring)
     if not report.ok:
         raise AssertionError(
-            f"internal: constructed coloring failed verification: {report.violations[:3]}"
+            f"constructed coloring failed verification: {report.violations[:3]}"
         )
     if coloring.max_color > bound:
-        raise AssertionError(f"internal: {coloring.max_color} colors exceed bound {bound}")
+        raise AssertionError(f"{coloring.max_color} colors exceed bound {bound}")
     trace = ConstructionTrace(
         case_tag=tags[0] if len(set(tags)) == 1 else MIXED,
         sigma=sigma,

@@ -51,7 +51,3 @@ class DimensionMismatchError(CoronaColorError):
 
 class BudgetExceededError(CoronaColorError):
     """An exact search ran out of its node-expansion budget."""
-
-
-class FallbackBudgetError(BudgetExceededError):
-    """The cone search for the isolated vertices of G exceeded its budget."""

@@ -40,9 +40,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    ok: bool
     violations: tuple[Violation, ...]
-    products: dict[int, int]
+    products: list[int]  # closed-star product by vertex; empty if a color is not positive
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _check_cover(g: Graph, coloring: TotalColoring) -> None:
@@ -70,7 +73,7 @@ def star_products(start: Sequence[int], g: Graph, colors: Sequence[int]) -> list
     return prod
 
 
-def _clean_products(g: Graph, coloring: TotalColoring) -> dict[int, int] | None:
+def _clean_products(g: Graph, coloring: TotalColoring) -> list[int] | None:
     """Closed-star products of a proper total coloring within 1..max_color, or None.
 
     Color c in the star of v is the key c * n + v, unique to (c, v), and a
@@ -95,7 +98,7 @@ def _clean_products(g: Graph, coloring: TotalColoring) -> dict[int, int] | None:
         seen[ka] = seen[kb] = 1
         prods[a] *= c
         prods[b] *= c
-    return dict(enumerate(prods))
+    return prods
 
 
 def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
@@ -103,7 +106,7 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
     _check_cover(g, coloring)
     products = _clean_products(g, coloring)
     if products is not None:
-        return VerifyReport(True, (), products)
+        return VerifyReport((), products)
     vcol, ecol, mx = coloring.vertex_colors, coloring.edge_colors, coloring.max_color
     violations: list[Violation] = []
     for v, c in enumerate(vcol):
@@ -140,8 +143,8 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
                         )
                     )
     positive = all(c >= 1 for c in vcol + ecol)
-    products = dict(enumerate(star_products(vcol, g, ecol))) if positive else {}
-    return VerifyReport(not violations, tuple(violations), products)
+    products = star_products(vcol, g, ecol) if positive else []
+    return VerifyReport(tuple(violations), products)
 
 
 def verify_npd(g: Graph, coloring: TotalColoring) -> VerifyReport:
@@ -155,7 +158,7 @@ def verify_npd(g: Graph, coloring: TotalColoring) -> VerifyReport:
         for a, b in g.edges
         if prods[a] == prods[b]
     ]
-    return VerifyReport(not violations, tuple(violations), prods)
+    return VerifyReport(tuple(violations), prods)
 
 
 def verify_nvd(g: Graph, coloring: TotalColoring) -> VerifyReport:
@@ -177,7 +180,7 @@ def verify_nvd(g: Graph, coloring: TotalColoring) -> VerifyReport:
         for a, b in g.edges
         if sets[a] == sets[b]
     ]
-    return VerifyReport(not violations, tuple(violations), report.products)
+    return VerifyReport(tuple(violations), report.products)
 
 
 def report_to_json(report: VerifyReport) -> str:
@@ -197,6 +200,6 @@ def report_to_json(report: VerifyReport) -> str:
             }
             for v in report.violations
         ],
-        "products": {str(v): p for v, p in sorted(report.products.items())},
+        "products": {str(v): p for v, p in enumerate(report.products)},
     }
     return json.dumps(payload, indent=2)

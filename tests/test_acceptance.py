@@ -102,7 +102,7 @@ def test_criterion_4_hand_run_instance():
         }
         copies_ok = copies_ok and per_copy == {20, 30}
     ok = prods.ok and g_products == {90, 180} and copies_ok
-    report(4, ok, f"products {sorted(prods.products.values())}, verifier ok={prods.ok}")
+    report(4, ok, f"products {sorted(prods.products)}, verifier ok={prods.ok}")
 
 
 def test_criterion_5_edge_coloring_bound():

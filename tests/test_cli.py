@@ -153,10 +153,10 @@ def test_chi_internal_error_exit(tmp_path, monkeypatch, capsys):
 
 def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
     from coronacolor import cli, construct
-    from coronacolor.errors import BudgetExceededError, FallbackBudgetError
+    from coronacolor.errors import BudgetExceededError
 
     def explode(*args, **kwargs):
-        raise FallbackBudgetError("forced")
+        raise BudgetExceededError("forced")
 
     monkeypatch.setattr(cli, "color_corona", explode)
     gp = write_g6(tmp_path / "g.g6", k(2))
@@ -188,7 +188,7 @@ def test_color_internal_error_exit(tmp_path, monkeypatch, capsys):
     assert main(["color", "--g", gp, "--h", gp]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert_one_line(captured.err, "internal error:")
+    assert_one_line(captured.err, "internal error: constructed coloring failed verification:")
 
 
 def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):

@@ -246,11 +246,12 @@ def test_rejects_non_subcubic():
 
 
 def test_fallback_budget_error(monkeypatch):
-    from coronacolor import construct
-    from coronacolor.errors import FallbackBudgetError
+    from coronacolor import search
+    from coronacolor.errors import BudgetExceededError
 
-    monkeypatch.setattr(construct, "FALLBACK_BUDGET", 1)
-    with pytest.raises(FallbackBudgetError):
+    # K1's base search needs one node, so only the cone search runs out
+    monkeypatch.setattr(search, "BASE_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="cone"):
         color_corona(new_graph(1), k(2))
 
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from coronacolor import (
     color_corona,
     document_coloring,
     emit_coloring_json,
+    enumerate_subcubic,
     new_graph,
     parse_coloring_json,
     report_to_json,
@@ -95,7 +97,7 @@ def test_npd_detects_collision():
 def test_npd_ok_with_products():
     report = verify_npd(K2, K2_GOOD)
     assert report.ok
-    assert report.products == {0: 3, 1: 6}
+    assert report.products == [3, 6]
 
 
 def test_npd_skips_products_when_improper():
@@ -123,7 +125,7 @@ def test_hand_run_sets_and_products():
     npd = verify_npd(res.graph, res.coloring)
     nvd = verify_nvd(res.graph, res.coloring)
     assert npd.ok and nvd.ok
-    assert sorted(npd.products.values()) == [20, 20, 30, 30, 90, 180]
+    assert sorted(npd.products) == [20, 20, 30, 30, 90, 180]
 
 
 def test_reports_are_exhaustive():
@@ -147,6 +149,76 @@ def test_report_json():
     assert payload["ok"] is False
     assert payload["violations"][0]["kind"] == PRODUCT_COLLISION
     assert payload["violations"][0]["witness"] == [6, 6]
+
+
+def tampered(tc):
+    """tc, its colors shifted by 10**18, and one element recolored at a time:
+    vertex 0 to 0 or 10**18, the last edge to -1, edge 0 to vertex 0's color,
+    vertex 0 to vertex 1's color."""
+    vcol, ecol, mx = list(tc.vertex_colors), list(tc.edge_colors), tc.max_color
+    big = 10**18
+    yield tc
+    yield TotalColoring(tuple(c + big for c in vcol), tuple(c + big for c in ecol), mx + big)
+    yield TotalColoring((0, *vcol[1:]), tuple(ecol), mx)
+    yield TotalColoring((big, *vcol[1:]), tuple(ecol), mx)
+    if ecol:
+        yield TotalColoring(tuple(vcol), (*ecol[:-1], -1), mx)
+        yield TotalColoring(tuple(vcol), (vcol[0], *ecol[1:]), mx)
+        yield TotalColoring((vcol[1], *vcol[1:]), tuple(ecol), mx)
+
+
+def greedy_colorings():
+    """Random graphs on 2..6 vertices colored greedily from random free colors
+    of 1..8: proper, and sometimes with product and set collisions."""
+    import random
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        g = new_graph(n, rng.sample(pairs, rng.randint(1, min(len(pairs), 7))))
+        vcol = [0] * n
+        for v in range(n):
+            vcol[v] = rng.choice([c for c in range(1, 9) if c not in {vcol[w] for w in g.adj[v]}])
+        star = [{c} for c in vcol]
+        ecol = []
+        for a, b in g.edges:
+            c = rng.choice([c for c in range(1, 9) if c not in star[a] | star[b]])
+            star[a].add(c)
+            star[b].add(c)
+            ecol.append(c)
+        yield g, TotalColoring(tuple(vcol), tuple(ecol), max(vcol + ecol))
+
+
+# SHA-256 over report_to_json of verify_proper_total, verify_npd and
+# verify_nvd on color_corona's output for every pair of subcubic graphs on
+# 1..3 vertices, each also tampered (see tampered), and on 300 greedy random
+# colorings; any change to a report's violations, products or JSON moves it
+REPORT_JSON_SHA256 = "3d3756e72a0ed5be2ebb3f9927585d2292f333d48fab6ba4d489109eb695a211"
+
+
+def test_report_json_is_pinned():
+    import hashlib
+
+    small = [g for n in range(1, 4) for g in enumerate_subcubic(n)]
+    cases = [
+        (res.graph, tc)
+        for g in small
+        for h in small
+        for res in [color_corona(g, h)]
+        for tc in tampered(res.coloring)
+    ]
+    cases += greedy_colorings()
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for g, tc in cases:
+        for check in (verify_proper_total, verify_npd, verify_nvd):
+            report = check(g, tc)
+            kinds.update(v.kind for v in report.violations)
+            digest.update(report_to_json(report).encode() + b"\n")
+    assert len(cases) == 643
+    assert kinds[PRODUCT_COLLISION] and kinds[SET_COLLISION] and kinds[COLOR_OUT_OF_RANGE]
+    assert digest.hexdigest() == REPORT_JSON_SHA256
 
 
 def exhaustive(check, g, tc):
@@ -243,5 +315,5 @@ def test_huge_colors_verify_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert report.ok
-    assert report.products == {v: product_at(res.graph, tc, v) for v in range(res.graph.n)}
+    assert report.products == [product_at(res.graph, tc, v) for v in range(res.graph.n)]
     assert report == exhaustive(verify_npd, res.graph, tc)
