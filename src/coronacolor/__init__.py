@@ -14,11 +14,7 @@ from .construct import (
     color_corona,
     sort_by_product,
 )
-from .edgecolor import (
-    EdgeColoring,
-    edge_colors_at,
-    vizing_color,
-)
+from .edgecolor import edge_colors_at, vizing_color
 from .enumeration import canonical_form, enumerate_subcubic
 from .graph import (
     CopyVertex,

@@ -115,7 +115,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.out:
         _write(args.out, emit_coloring_json(doc))
     if args.dot:
-        _write(args.dot, emit_dot(result.graph, result.coloring, result.corona_map))
+        _write(args.dot, emit_dot(doc))
     _write(None, f"case={result.trace.case_tag} "
                  f"max_color={result.coloring.max_color} bound={result.trace.palette_bound}\n")
     return 0
@@ -133,6 +133,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
+    if args.budget < 1:  # every search spends a node before it can finish
+        raise _Failure(2, f"bad instance: --budget {args.budget} must be at least 1")
     g = _read_graph(args.graph, args.format)
     with _computing(budget_code=5):
         value = chi_prod_exact(g, args.budget)
@@ -164,22 +166,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # each pair's corona is built and both factors go into its record as graph6
     _check_corona(args.ng_max, args.nh_max)
     _check_graph6(max(args.ng_max, args.nh_max))
+    # random pairs are drawn as the sweep reaches them, so however large
+    # --count is, the first record is written at once
     if args.count:
-        rng = random.Random(args.seed)
-        pairs = []
-        for _ in range(args.count):
-            ng = rng.randint(1, args.ng_max)
-            nh = rng.randint(1, args.nh_max)
-            pairs.append(
-                (
-                    gen_random_subcubic(ng, rng.randrange(1 << 30)),
-                    gen_random_subcubic(nh, rng.randrange(1 << 30)),
-                )
-            )
+        pairs = _random_pairs(random.Random(args.seed), args.count, args.ng_max, args.nh_max)
     else:
         gs = [g for nn in range(1, args.ng_max + 1) for g in enumerate_subcubic(nn, connected=True)]
         hs = [h for nn in range(1, args.nh_max + 1) for h in enumerate_subcubic(nn)]
-        pairs = [(g, h) for g in gs for h in hs]
+        pairs = ((g, h) for g in gs for h in hs)
     try:  # the records go to the log or to stdout; either may fail to take them
         if args.log:
             with open(args.log, "a", encoding="utf-8") as out:
@@ -189,7 +183,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise _Failure(2, f"write error: {exc}") from exc
 
 
-def _sweep_pairs(pairs: list[tuple[Graph, Graph]], oracle_max: int, out: TextIO) -> int:
+def _random_pairs(
+    rng: random.Random, count: int, ng_max: int, nh_max: int
+) -> Iterator[tuple[Graph, Graph]]:
+    """count random pairs, each drawn from rng as ng, nh, G's seed, H's seed."""
+    for _ in range(count):
+        ng = rng.randint(1, ng_max)
+        nh = rng.randint(1, nh_max)
+        g = gen_random_subcubic(ng, rng.randrange(1 << 30))
+        yield g, gen_random_subcubic(nh, rng.randrange(1 << 30))
+
+
+def _sweep_pairs(pairs: Iterator[tuple[Graph, Graph]], oracle_max: int, out: TextIO) -> int:
     """Color each pair, writing and flushing its JSONL record as soon as it finishes."""
     for gg, hh in pairs:
         g6g, g6h = emit_graph6(gg), emit_graph6(hh)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import search
-from .edgecolor import EdgeColoring, edge_colors_at, vizing_color
+from .edgecolor import edge_colors_at, vizing_color
 from .errors import BudgetExceededError
 from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_starts,
                     max_degree, new_graph, require_subcubic)
@@ -68,9 +68,9 @@ class ColorResult(NamedTuple):
     trace: ConstructionTrace
 
 
-def sort_by_product(ecol: EdgeColoring, h: Graph) -> tuple[int, ...]:
+def sort_by_product(ecol: tuple[int, ...], h: Graph) -> tuple[int, ...]:
     """h's vertices by nondecreasing incident edge-color product, ties by index."""
-    prod = star_products([1] * h.n, h, ecol.colors)
+    prod = star_products([1] * h.n, h, ecol)
     return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
@@ -157,7 +157,7 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         ecol = vizing_color(h)
         sigma = sort_by_product(ecol, h)
         s_min = edge_colors_at(h, ecol, sigma[0])
-        earr[starts[g.n]:] = ecol.colors * g.n
+        earr[starts[g.n]:] = ecol * g.n
         # copy j's vertex colors and spokes in h's vertex order
         ladder, spokes = [0] * h.n, [0] * h.n
         for pos, u in enumerate(sigma, 1):

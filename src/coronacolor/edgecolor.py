@@ -2,26 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, max_degree
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """A color in 1..k per edge, in canonical edge order (as in ``Graph.edges``)."""
-
-    colors: tuple[int, ...]
-    k: int
+def edge_colors_at(h: Graph, ecol: tuple[int, ...], u: int) -> frozenset[int]:
+    """Set of colors on the edges incident with u; ecol is in canonical edge order."""
+    return frozenset(c for e, c in zip(h.edges, ecol) if u in e)
 
 
-def edge_colors_at(h: Graph, ecol: EdgeColoring, u: int) -> frozenset[int]:
-    """Set of colors on the edges incident with u."""
-    return frozenset(c for e, c in zip(h.edges, ecol.colors) if u in e)
-
-
-def vizing_color(h: Graph) -> EdgeColoring:
-    """Proper edge coloring with the fixed palette 1..max_degree(h)+1.
+def vizing_color(h: Graph) -> tuple[int, ...]:
+    """Proper edge coloring with the fixed palette 1..max_degree(h)+1, one
+    color per edge in canonical edge order (as in ``Graph.edges``).
 
     Edges are inserted in canonical order.  When no color is free at both
     endpoints, a maximal fan is built at the first endpoint, walking its
@@ -32,8 +23,6 @@ def vizing_color(h: Graph) -> EdgeColoring:
     neighbor across that edge; an insertion reads the first endpoint's colors
     by neighbor from a snapshot of its map, taken again after an inversion.
     """
-    if not h.edges:
-        return EdgeColoring((), 1)
     k = max_degree(h) + 1
     at: list[dict[int, int]] = [dict() for _ in range(h.n)]  # vertex -> color -> neighbor
 
@@ -102,4 +91,4 @@ def vizing_color(h: Graph) -> EdgeColoring:
         at[u][d] = fan[w_idx]
         at[fan[w_idx]][d] = u
     col = [{w: c for c, w in m.items()} for m in at]  # vertex -> neighbor -> color
-    return EdgeColoring(tuple(col[a][b] for a, b in h.edges), k)
+    return tuple(col[a][b] for a, b in h.edges)

@@ -184,34 +184,22 @@ PALETTE = (
 )
 
 
-def emit_dot(g: Graph, coloring: TotalColoring | None = None, corona_map: CoronaMap | None = None) -> str:
-    """DOT source; corona roles become v_j / u_i^j labels, colors become labels
-    plus a fixed fill palette cycled by color number."""
-    if coloring is not None and (
-        len(coloring.vertex_colors) != g.n or len(coloring.edge_colors) != len(g.edges)
-    ):
-        raise DimensionMismatchError("coloring does not cover the graph")
+def emit_dot(doc: ColoringDocument) -> str:
+    """DOT source of a coloring document; corona roles become v_j / u_i^j
+    labels, colors become labels plus a fixed fill palette cycled by color
+    number."""
     lines = ["graph corona {", "  node [shape=circle, style=filled, fillcolor=white];"]
-    for v in range(g.n):
-        if corona_map is not None:
-            role = corona_map.role(v)
+    for v, c in enumerate(doc.vertex_colors):
+        if doc.corona_map is not None:
+            role = doc.corona_map.role(v)
             name = f"v_{role.j}" if isinstance(role, GVertex) else f"u_{role.i}^{role.j}"
         else:
             name = str(v)
-        if coloring is None:
-            attrs = f'label="{name}"'
-        else:
-            c = coloring.vertex_colors[v]
-            attrs = f'label="{name}\\n{c}", fillcolor="{PALETTE[(c - 1) % len(PALETTE)]}"'
-        lines.append(f"  n{v} [{attrs}];")
-    for t, (a, b) in enumerate(g.edges):
-        if coloring is None:
-            lines.append(f"  n{a} -- n{b};")
-        else:
-            c = coloring.edge_colors[t]
-            lines.append(
-                f'  n{a} -- n{b} [label="{c}", color="{PALETTE[(c - 1) % len(PALETTE)]}"];'
-            )
+        lines.append(
+            f'  n{v} [label="{name}\\n{c}", fillcolor="{PALETTE[(c - 1) % len(PALETTE)]}"];'
+        )
+    for (a, b), c in zip(doc.edges, doc.edge_colors):
+        lines.append(f'  n{a} -- n{b} [label="{c}", color="{PALETTE[(c - 1) % len(PALETTE)]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from coronacolor import EdgeColoring, Graph, TotalColoring, max_degree, new_graph
+from coronacolor import Graph, TotalColoring, max_degree, new_graph
 from coronacolor.errors import (
     BadCharError,
     BudgetExceededError,
@@ -31,8 +31,9 @@ class IncompleteColoringError(CoronaColorError):
     """A star product was requested before the whole star was colored."""
 
 
-def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColoring]:
-    """Minimum number of colors in a proper edge coloring, with a witness.
+def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, tuple[int, ...]]:
+    """Minimum number of colors in a proper edge coloring, with a witness
+    coloring in canonical edge order.
 
     Backtracking over edges in canonical order; the t-th edge may only use
     colors 1..min(t, k), which loses no solutions because any coloring can be
@@ -40,7 +41,7 @@ def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColorin
     """
     m = len(h.edges)
     if m == 0:
-        return 1, EdgeColoring((), 1)
+        return 1, ()
     adj_edges: list[list[int]] = [[] for _ in range(m)]
     inc: list[list[int]] = [[] for _ in range(h.n)]
     for t, (a, b) in enumerate(h.edges):
@@ -56,7 +57,7 @@ def chi_prime_exact(h: Graph, budget: int = 2_000_000) -> tuple[int, EdgeColorin
         t = 0
         while t >= 0:
             if t == m:
-                return kk, EdgeColoring(tuple(assign), kk)
+                return kk, tuple(assign)
             limit = min(t + 1, kk)
             c = assign[t] + 1
             placed = False

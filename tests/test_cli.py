@@ -232,6 +232,14 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
         captured = capsys.readouterr()
         assert_one_line(captured.err, "bad instance:")
         assert captured.out == ""
+    # a budget below one node is refused before any search, even on K1
+    k1 = write_g6(tmp_path / "k1.g6", k(1))
+    for budget in ("0", "-1"):
+        for graph in (gp, k1):
+            assert main(["chi", "--graph", graph, "--budget", budget]) == 2
+            captured = capsys.readouterr()
+            assert_one_line(captured.err, "bad instance:")
+            assert captured.out == ""
     # bytes that are not UTF-8
     raw = tmp_path / "raw.bin"
     raw.write_bytes(b"\xff\xfe\x00b")
@@ -324,6 +332,36 @@ def test_sweep_streams_records_before_a_counterexample(tmp_path, monkeypatch, ca
     assert [(r["g6_g"], r["g6_h"]) for r in records] == [
         (emit_graph6(g), emit_graph6(h)) for g, h in calls[:2]
     ]
+
+
+def test_random_sweep_draws_each_pair_as_it_reaches_it(tmp_path, monkeypatch, capsys):
+    from coronacolor import cli
+
+    generated = []
+    real_gen = cli.gen_random_subcubic
+
+    def counting_gen(n, seed):
+        generated.append((n, seed))
+        return real_gen(n, seed)
+
+    colored = []
+    real_color = cli.color_corona
+
+    def failing_third(g, h):
+        colored.append((g, h))
+        if len(colored) == 3:
+            raise AssertionError("injected failure")
+        return real_color(g, h)
+
+    monkeypatch.setattr(cli, "gen_random_subcubic", counting_gen)
+    monkeypatch.setattr(cli, "color_corona", failing_third)
+    log = tmp_path / "log.jsonl"
+    args = ["sweep", "--ng-max", "4", "--nh-max", "4", "--count", "1000", "--log", str(log)]
+    assert main(args) == 1
+    assert_one_line(capsys.readouterr().err, "counterexample: ")
+    assert len(log.read_text().splitlines()) == 2
+    # two factors for each of the three pairs reached, none for the 997 after
+    assert len(generated) == 6
 
 
 def test_unwritable_outputs_exit_2_without_traceback(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_sort_by_product_examples():
     ec = vizing_color(tri)
     sigma = sort_by_product(ec, tri)
     prods = [1, 1, 1]
-    for (a, b), c in zip(tri.edges, ec.colors):
+    for (a, b), c in zip(tri.edges, ec):
         prods[a] *= c
         prods[b] *= c
     assert sorted(prods) == [2, 3, 6]
@@ -91,7 +91,7 @@ def test_case12_preserves_base_and_edge_colorings():
     for j in (1, 2):
         ca = res.corona_map.copy_vertex(j, 1)
         cb = res.corona_map.copy_vertex(j, 2)
-        assert res.coloring.edge_colors[eidx[(ca, cb)]] == ec.colors[0]  # h's only edge
+        assert res.coloring.edge_colors[eidx[(ca, cb)]] == ec[0]  # h's only edge
 
 
 def test_figure_shape_case2():

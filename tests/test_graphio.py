@@ -136,18 +136,23 @@ def test_edge_list_errors_carry_line_numbers():
 
 def test_emit_dot():
     g = new_graph(2, [(0, 1)])
-    plain = emit_dot(g)
-    assert "n0 -- n1" in plain and "label" in plain
-    col = TotalColoring((1, 2), (3,), 3)
-    dotted = emit_dot(g, col)
-    assert 'label="0\\n1"' in dotted and 'label="3"' in dotted
+    dotted = emit_dot(coloring_document(g, TotalColoring((1, 2), (3,), 3)))
+    assert dotted == (
+        "graph corona {\n"
+        "  node [shape=circle, style=filled, fillcolor=white];\n"
+        '  n0 [label="0\\n1", fillcolor="#e6194b"];\n'
+        '  n1 [label="1\\n2", fillcolor="#3cb44b"];\n'
+        '  n0 -- n1 [label="3", color="#ffe119"];\n'
+        "}\n"
+    )
+    # a coloring that does not cover the graph never becomes a document
     with pytest.raises(DimensionMismatchError):
-        emit_dot(g, TotalColoring((1,), (3,), 3))
+        coloring_document(g, TotalColoring((1,), (3,), 3))
 
 
 def test_emit_dot_corona_labels():
     res = color_corona(new_graph(2, [(0, 1)]), new_graph(2, [(0, 1)]))
-    text = emit_dot(res.graph, res.coloring, res.corona_map)
+    text = emit_dot(coloring_document(res.graph, res.coloring, res.corona_map))
     assert 'v_1' in text and 'u_2^1' in text
     assert text.count("--") == 7
 
