@@ -84,7 +84,7 @@ def _computing(budget_code: int = 4) -> Iterator[None]:  # 4 in color, 5 in chi
         yield
     except NotSubcubicError as exc:
         raise _Failure(3, f"not subcubic: {exc}") from exc
-    except BudgetExceededError as exc:  # base search on G or the cone search
+    except BudgetExceededError as exc:  # color's base search on G, chi's search
         raise _Failure(budget_code, f"budget exceeded: {exc}") from exc
     except ValueError as exc:
         raise _Failure(2, f"bad instance: {exc}") from exc
@@ -160,9 +160,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.ng_max < 1 or args.nh_max < 1 or args.count < 0:
+    if args.ng_max < 1 or args.nh_max < 1 or args.count < 0 or args.oracle_max < 0:
         raise _Failure(2, "bad instance: --ng-max and --nh-max must be at least 1, "
-                          "--count at least 0")
+                          "--count and --oracle-max at least 0")
     # each pair's corona is built and both factors go into its record as graph6
     _check_corona(args.ng_max, args.nh_max)
     _check_graph6(max(args.ng_max, args.nh_max))

@@ -6,20 +6,17 @@ coloring of the second.  Every copy of the second factor is laid out along
 one ladder: sigma, its vertices sorted by edge-color product.  With
 dg = max_degree(G), position pos >= 2 of sigma gets vertex color dg+pos+2,
 and every position gets spoke color dg+pos+3, so the products inside each
-copy rise strictly.  The cases differ only in the vertex color at position
-1: dg+3 = 4 in Case1_2, beta in Case1_1 (which also recolors the component
-edge and its ends), and the avoidance color alpha_j in Case2.  Colors are
-written by edge position (corona_edge_starts): each copy's vertex colors and
-spokes are slices of one ladder template, and the copy edges repeat the
-second factor's edge coloring.  alpha_j also keeps u^j_{sigma[0]}'s star
-product off v_j's, so every component of two or more vertices is colored
-without search.  With an empty second factor the corona is the first factor
-itself, and its base coloring, an exact search, is the whole coloring (tagged
-Fallback).  An isolated vertex's component is the cone K1∘H, the same for
-every isolated vertex, so it is searched once within the same palette bound
-and its coloring written into each cone.  One verifier pass over the whole
-corona then checks the assembled coloring; a violation is an internal error,
-never repaired.  Every returned coloring is verified.
+copy rise strictly.  The vertex color at position 1 is dg+3 = 4 in Case1_2,
+beta in Case1_1 (which also recolors the component edge and its ends), the
+avoidance color alpha_j in Case2, and for an isolated vertex, tagged Fallback
+as outside the paper's cases, the choice of ``cone_colors``, which also
+colors the vertex itself.  Colors are written by edge position
+(corona_edge_starts): each copy's vertex colors and spokes are slices of one
+ladder template, and the copy edges repeat the second factor's edge
+coloring.  No component is searched: with an empty second factor the corona
+is the first factor, and its base coloring is the whole coloring (tagged
+Fallback).  One verifier pass over the corona checks every returned
+coloring; a violation is an internal error, never repaired.
 """
 
 from __future__ import annotations
@@ -28,13 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import search
 from .edgecolor import edge_colors_at, vizing_color
-from .errors import BudgetExceededError
 from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_starts,
-                    max_degree, new_graph, require_subcubic)
-from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches both names
-from .search import TotalColoring, base_coloring, npdtc_search
+                    max_degree, require_subcubic)
+from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches these
+from .search import TotalColoring, base_coloring, npdtc_search  # npdtc_search likewise
 from .verify import star_products, verify_npd
 
 CASE_1_1 = "Case1_1"
@@ -86,14 +81,13 @@ def min_copy_color(
     with c*prod(s_min) != v_star (Case2).
 
     v_star is prod_G(v), v's closed-star product in the base coloring, times
-    the spoke colors dg+p+3 of positions p >= 2; color_corona stops at p = 4,
-    from where v_star exceeds 120 >= 5*prod(s_min) either way.  u^j_{sigma[0]}
-    has star product c*prod(s_min)*(dg+4), so the third condition keeps the
-    products at the two ends of its spoke apart.  It binds only when n_h = 1,
-    where s_min is empty and at most two colors are forbidden: otherwise
-    prod_G(v) >= 2 (v has an edge colored unlike v) and v_star >= 2*(dg+5)*...
-    exceeds 5*prod(s_min) <= 5*min(n_h, 4)!.  Any alpha <= 5 stays below dg+4,
-    the lowest ladder color, so the copy stays proper and its products rising.
+    the spokes dg+p+3 of positions p = 2..4 (beyond, v_star exceeds 120 >=
+    5*prod(s_min) either way).  u^j_{sigma[0]} has star product
+    c*prod(s_min)*(dg+4), so the third condition keeps its spoke's ends apart.
+    It binds only when n_h = 1, where s_min is empty and two colors at most
+    are forbidden: otherwise prod_G(v) >= 2 and v_star >= 2*(dg+5)*... exceeds
+    5*prod(s_min) <= 5*min(n_h, 4)!.  Any alpha <= 5 stays below dg+4, the
+    lowest ladder color, so the copy stays proper and its products rising.
     """
     if delta_g == 1:
         if 4 not in s_min:
@@ -109,15 +103,27 @@ def min_copy_color(
     raise AssertionError("all of 1..5 forbidden; subcubic factors forbid four at most")
 
 
-def _cone_coloring(h: Graph, bound: int) -> TotalColoring:
-    """Exact search of K1∘h, the corona of any isolated vertex, within bound."""
-    try:
-        tc = npdtc_search(corona(new_graph(1), h)[0], bound, search.BASE_BUDGET)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(f"cone search exhausted on K1∘H with |V(H)|={h.n}") from exc
-    if tc is None:
-        raise AssertionError(f"no coloring of the cone K1∘H with {bound} colors")
-    return tc
+def cone_colors(h: Graph, ecol: tuple[int, ...], u: int, ladder: list[int],
+                spokes: list[int]) -> tuple[int, int]:
+    """Position-1 color and hub color of an isolated vertex's cone K1∘h.
+
+    u is sigma[0], and ladder and spokes give each vertex of h its ladder
+    colors.  Position 1 takes the smallest c of 1..bound, the last spoke, on
+    no edge at u and no neighbor, whose star product c*(dg+4)*E(u) no
+    neighbor's equals.  The hub takes the smallest of 1..dg+3 but c whose
+    product with every spoke meets no copy vertex's star product; from five
+    spokes on it exceeds all of them and is not formed.  0 if none fits.
+    """
+    e = star_products([1] * h.n, h, ecol)
+    taken = {*edge_colors_at(h, ecol, u), spokes[u], *(ladder[w] for w in h.adj[u])}
+    near = {ladder[w] * e[w] * spokes[w] for w in h.adj[u]}
+    c = next((c for c in range(1, max(spokes) + 1)
+              if c not in taken and c * e[u] * spokes[u] not in near), 0)
+    top = [c if w == u else x for w, x in enumerate(ladder)]
+    stars = {p * s for p, s in zip(star_products(top, h, ecol), spokes)}
+    spoke_prod = math.prod(spokes) if h.n <= 4 else 0
+    hub = next((x for x in range(1, spokes[u]) if x != c and x * spoke_prod not in stars), 0)
+    return c, hub
 
 
 def color_corona(g: Graph, h: Graph) -> ColorResult:
@@ -126,15 +132,13 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
 
     g's vertices and edges keep g's base coloring; with h empty the corona
     is g and nothing more is colored, though its components stay tagged
-    Fallback.  Otherwise every component but an isolated vertex lays each of
-    its copies along the ladder, with dg the global maximum degree so that
-    all components share one palette bound, and position 1 colored by
-    ``min_copy_color``; in Case1_1 the component edge takes beta too and its
-    ends the other two colors of {1,2,3}.  Every isolated vertex takes the
-    coloring of the cone K1∘h, searched once, run by run: the hub's color,
-    the copy's vertex colors, the spokes and the copy block.  One verifier
-    pass over the whole corona checks the result; a violation is an internal
-    error.
+    Fallback.  Otherwise every component lays each of its copies along the
+    ladder, with dg the global maximum degree so that all components share
+    one palette bound, and position 1 colored by ``min_copy_color``, or by
+    ``cone_colors`` once per call for every isolated vertex, which it also
+    colors; in Case1_1 the component edge takes beta too and its ends the
+    other two colors of {1,2,3}.  One verifier pass over the whole corona
+    checks the result; a violation is an internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -154,8 +158,13 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         earr[starts[v]:up] = base.edge_colors[starts[v] - v * h.n:up - v * h.n]
     sigma: tuple[int, ...] = ()
     if h.n:
-        ecol = vizing_color(h)
-        sigma = sort_by_product(ecol, h)
+        vizing = vizing_color(h)
+        # dg = 0: trade colors 4 and the first c of 4, 3, 2, 1 keeping 4 off sigma[:2]'s edges
+        for c in (4, 3, 2, 1):
+            ecol = tuple({4: c, c: 4}.get(x, x) for x in vizing) if c < 4 else vizing
+            sigma = sort_by_product(ecol, h)
+            if dg or all(4 not in edge_colors_at(h, ecol, u) for u in sigma[:2]):
+                break
         s_min = edge_colors_at(h, ecol, sigma[0])
         earr[starts[g.n]:] = ecol * g.n
         # copy j's vertex colors and spokes in h's vertex order
@@ -165,33 +174,24 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         # min_copy_color's v_star: star products in the base coloring, spokes 2..4
         star = star_products(base.vertex_colors, g, base.edge_colors)
         tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
+        if any(len(comp) == 1 for comp in comps):
+            cone = cone_colors(h, ecol, sigma[0], ladder, spokes)
         for ci, comp in enumerate(comps):
-            if len(comp) == 1:
-                continue
             for v in comp:
-                ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg, star[v] * tail)
+                if len(comp) == 1:  # the hub of a cone; its tag stays Fallback
+                    ladder[sigma[0]], vcol[v] = cone
+                else:
+                    ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg, star[v] * tail)
                 vcol[g.n + v * h.n:g.n + (v + 1) * h.n] = ladder
                 earr[starts[v + 1] - h.n:starts[v + 1]] = spokes
             if tags[ci] == CASE_1_1:  # the position-1 color is beta
-                v1, v2 = comp
                 beta = ladder[sigma[0]]
-                vcol[v1], vcol[v2] = sorted({1, 2, 3} - {beta})
-                earr[starts[v1]] = beta
-        isolated = [comp[0] for comp in comps if len(comp) == 1]
-        if isolated:
-            cone = _cone_coloring(h, bound)
-            vc, ec, m_h = cone.vertex_colors, cone.edge_colors, len(h.edges)
-            for v in isolated:  # K1∘h's runs: hub, copy, spokes, copy block
-                vcol[v] = vc[0]
-                vcol[g.n + v * h.n:g.n + (v + 1) * h.n] = vc[1:]
-                earr[starts[v]:starts[v + 1]] = ec[:h.n]
-                earr[starts[-1] + v * m_h:starts[-1] + (v + 1) * m_h] = ec[h.n:]
+                vcol[comp[0]], vcol[comp[1]] = sorted({1, 2, 3} - {beta})
+                earr[starts[comp[0]]] = beta
     coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
     report = verify_npd(cg, coloring)
     if not report.ok:
-        raise AssertionError(
-            f"constructed coloring failed verification: {report.violations[:3]}"
-        )
+        raise AssertionError(f"constructed coloring failed verification: {report.violations[:3]}")
     if coloring.max_color > bound:
         raise AssertionError(f"{coloring.max_color} colors exceed bound {bound}")
     trace = ConstructionTrace(

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -221,11 +224,13 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert_one_line(captured.err, "bad instance:")
     assert captured.out == ""
-    # sizes no random pair can have, a negative count, a corona past the
+    # sizes no random pair can have, a negative count, a negative oracle size
+    # (which would turn the cross-check off unseen), a corona past the
     # limit, and a factor whose graph6 record would run to gigabytes
     for bad in (["--ng-max", "0", "--nh-max", "3", "--count", "4"],
                 ["--ng-max", "3", "--nh-max", "0", "--count", "4"],
                 ["--ng-max", "3", "--nh-max", "3", "--count", "-1"],
+                ["--ng-max", "3", "--nh-max", "3", "--oracle-max", "-1"],
                 ["--ng-max", "100000", "--nh-max", "100000", "--count", "1"],
                 ["--ng-max", "1", "--nh-max", "500000", "--count", "1"]):
         assert main(["sweep", *bad]) == 2
@@ -412,20 +417,43 @@ def test_failing_stdout_exits_2_without_traceback(tmp_path, unbuffered):
         assert_one_line(run.stderr, "write error: ")
 
 
-# SHA-256 of the records of `sweep --ng-max 7 --nh-max 5 --oracle-max 4`
-# without wall_ms, one json.dumps(record) + "\n" each (4,633 records); a
-# refactor that keeps the construction, the oracle and the record fields
-# byte-identical leaves it unchanged
-SWEEP_RECORDS_SHA256 = "ac5c76e216bf1a87bed547fe8e9595c473ce5a213eb482258d196d767085bdfe"
-
-
-def test_exhaustive_sweep_records_are_pinned(capsys):
-    assert main(["sweep", "--ng-max", "7", "--nh-max", "5", "--oracle-max", "4"]) == 0
-    digest = hashlib.sha256()
-    lines = capsys.readouterr().out.splitlines()
-    for line in lines:
-        record = json.loads(line)
+# the records of `sweep --ng-max 7 --nh-max 5 --oracle-max 7` without wall_ms,
+# one json.dumps(record) + "\n" each (4,633 records, every one cross-checked
+# by the oracle); run once and shared by the pin and the census below
+@pytest.fixture(scope="module")
+def exhaustive_records():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--ng-max", "7", "--nh-max", "5", "--oracle-max", "7"]) == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    for record in records:
         record.pop("wall_ms")
+    return records
+
+
+# SHA-256 of those records; a refactor that keeps the construction, the oracle
+# and the record fields byte-identical leaves it unchanged
+SWEEP_RECORDS_SHA256 = "67c01f3523e83762949d32e25a23088eaf32e326fb41637f79dd049e91a7deda"
+
+
+def test_exhaustive_sweep_records_are_pinned(exhaustive_records):
+    digest = hashlib.sha256()
+    for record in exhaustive_records:
         digest.update((json.dumps(record) + "\n").encode())
-    assert len(lines) == 4633
+    assert len(exhaustive_records) == 4633
     assert digest.hexdigest() == SWEEP_RECORDS_SHA256
+
+
+def test_exhaustive_census(exhaustive_records):
+    # the exact index on the whole corpus: chi''_prod(G∘H) - Delta(G∘H) is 1
+    # or 2, except K1∘K2 = K3 and K1∘K4 = K5, which need all Delta+3 colors.
+    # Delta(G∘H) = max_degree(G) + |V(H)|.  A measured fact about small
+    # graphs, not a claim of the paper; README tabulates the counts
+    gaps = Counter()
+    for r in exhaustive_records:
+        gap = r["chi_prod"] - (r["delta_g"] + r["n_h"])
+        gaps[gap] += 1
+        exceptional = (r["g6_g"], r["g6_h"]) in (("@", "A_"), ("@", "C~"))
+        assert gap == 3 if exceptional else gap in (1, 2)
+        assert r["chi_prod"] <= r["max_color"] <= r["bound"]
+    assert gaps == {2: 3451, 1: 1180, 3: 2}

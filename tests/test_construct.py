@@ -27,6 +27,7 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.errors import NotSubcubicError
+from coronacolor.graph import corona_edge_starts
 from oracles import product_at
 
 # the only subcubic H with at most 6 vertices whose edge coloring puts color 4
@@ -41,6 +42,12 @@ LEAFY_G = "EOSw"
 
 def k(n):
     return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def no_search(*args):
+    # patched over construct.npdtc_search: color_corona searches no component;
+    # base_coloring's own search is search.npdtc_search, not this name
+    raise AssertionError("a component search")
 
 
 def cycle(n):
@@ -245,20 +252,10 @@ def test_rejects_non_subcubic():
         color_corona(k(2), star)
 
 
-def test_fallback_budget_error(monkeypatch):
-    from coronacolor import search
-    from coronacolor.errors import BudgetExceededError
-
-    # K1's base search needs one node, so only the cone search runs out
-    monkeypatch.setattr(search, "BASE_BUDGET", 1)
-    with pytest.raises(BudgetExceededError, match="cone"):
-        color_corona(new_graph(1), k(2))
-
-
 # SHA-256 over color_corona's output on every pair enumerate_subcubic(ng) x
 # enumerate_subcubic(nh), ng in 1..6 and nh in 1..4 (1,854 pairs, disconnected
 # G included); any change to the construction or its fallbacks moves it
-PINNED_OUTPUT_SHA256 = "0d40bb12e31a73f6622f1ae42a1d29395494ec36aeaf3bd9b7c8535ef7c3fd1c"
+PINNED_OUTPUT_SHA256 = "73ff0dcd2e85c74ee47aa533b25af58a8ea973acbf886e58f37712845b09755a"
 
 
 def test_output_is_pinned_on_small_pairs():
@@ -283,7 +280,7 @@ def test_output_is_pinned_on_small_pairs():
 # H with 6 or 7 vertices and 200 random 10-vertex H (1,236 pairs, 45 of them
 # with a Case1_1 component): max_degree(G) = 1 follows the Case1_1/Case1_2
 # split with no relabeling of H's edge colors
-SINGLE_EDGE_G_SHA256 = "85c78dfd2babd3a8cd5df91e2e80253a150e3dfbc5d53b009b7d03a5aaafa73b"
+SINGLE_EDGE_G_SHA256 = "35605008cae71f50af1fd8f69a52c1d7f755909f5a04186e928cae2ccd891730"
 
 
 def test_single_edge_g_output_is_pinned():
@@ -330,9 +327,9 @@ def test_empty_h_output_is_pinned():
 
 # SHA-256 of the same records over every G with 1-5 vertices and an isolated
 # vertex (19 graphs) times every H with 5 or 6 vertices (85 graphs): each
-# isolated vertex is searched as its own corona and written back into the
-# whole corona's vertex and edge slices
-ISOLATED_G_SHA256 = "dcc971b14cb32250cc779bd3b8c03f9abf05d5d7b34449b8f08a3aa2a6257698"
+# isolated vertex's copy takes the ladder, with its position-1 color and the
+# vertex's own color from cone_colors
+ISOLATED_G_SHA256 = "da635aa3bd20e6ccd69d83fe6d29fa9a144dae6a64ee631d979474a1630187ac"
 
 
 def test_isolated_vertex_output_is_pinned():
@@ -354,9 +351,8 @@ def test_isolated_vertex_output_is_pinned():
 
 
 def test_component_corona_is_the_induced_subgraph():
-    # what the fallback search colors: a component's own corona is the
-    # subgraph of g∘h on the component and its copies, labels and edge order
-    # included
+    # a component's own corona is the subgraph of g∘h on the component and
+    # its copies, labels and edge order included
     gs = [g for ng in range(2, 7) for g in enumerate_subcubic(ng) if not is_connected(g)]
     hs = [new_graph(0)] + [h for nh in range(1, 4) for h in enumerate_subcubic(nh)]
     for g in gs:
@@ -369,7 +365,7 @@ def test_component_corona_is_the_induced_subgraph():
                 assert corona(subgraph(g, comp)[0], h)[0] == sub
 
 
-# components that reach every rule: an isolated vertex (searched), a lone edge
+# components that reach every rule: an isolated vertex (its cone), a lone edge
 # (Case1_1 or Case1_2 when it sets max_degree(G)), paths and cycles (Delta 2),
 # a claw, K4, the prism and LEAFY_G (Delta 3; with K1, alpha must avoid v_j's
 # star product)
@@ -401,43 +397,47 @@ SUBCUBIC_G = (
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(SUBCUBIC_G, st.sampled_from(SMALL_H) | st.just(parse_graph6(CASE11_H)))
 def test_color_corona_property(g, h):
-    res = color_corona(g, h)
+    from coronacolor import construct
+
+    with pytest.MonkeyPatch.context() as mp:  # cones of isolated vertices included
+        mp.setattr(construct, "npdtc_search", no_search)
+        res = color_corona(g, h)
     assert verify_npd(res.graph, res.coloring).ok
     assert res.coloring.max_color <= res.trace.palette_bound == max_degree(res.graph) + 3
     assert [comp for comp, _ in res.trace.component_cases] == connected_components(g)
     if h.n:
-        # the structured rules cover every component but an isolated vertex
-        assert all(tag != FALLBACK for comp, tag in res.trace.component_cases if len(comp) > 1)
+        # the structured rules cover every component; an isolated vertex's cone
+        # is tagged Fallback, as outside the paper's cases
+        assert all((tag == FALLBACK) == (len(comp) == 1) for comp, tag in res.trace.component_cases)
 
 
 def test_structured_corpus_needs_no_search(monkeypatch):
-    # every connected G with 2-7 vertices times every H with 1-5 vertices (the
-    # sweep corpus without G = K1) colors with the fallback search disabled;
-    # base_coloring's own search is search.npdtc_search, not this name
+    # every connected G with 1-7 vertices times every H with 1-5 vertices (the
+    # sweep corpus, G = K1 included), and every G with 2-7 vertices and an
+    # isolated vertex times the same H, colors with the component search
+    # disabled; only the isolated vertices' cones are tagged Fallback
     from coronacolor import construct
-
-    def no_search(*args):
-        raise AssertionError("fallback search on a structured component")
 
     monkeypatch.setattr(construct, "npdtc_search", no_search)
     hs = [h for nh in range(1, 6) for h in enumerate_subcubic(nh)]
+    gs = [g for ng in range(1, 8) for g in enumerate_subcubic(ng, connected=True)]
+    gs += [g for ng in range(2, 8) for g in enumerate_subcubic(ng) if not all(g.adj)]
     pairs = 0
-    for ng in range(2, 8):
-        for g in enumerate_subcubic(ng, connected=True):
-            for h in hs:
-                res = color_corona(g, h)
-                assert verify_npd(res.graph, res.coloring).ok
-                pairs += 1
-    assert pairs == 4592
+    for g in gs:
+        for h in hs:
+            res = color_corona(g, h)
+            assert verify_npd(res.graph, res.coloring).ok
+            assert res.coloring.max_color <= res.trace.palette_bound
+            assert all((tag == FALLBACK) == (len(comp) == 1)
+                       for comp, tag in res.trace.component_cases)
+            pairs += 1
+    assert (len(gs), pairs) == (113 + 103, (113 + 103) * 41)
 
 
 def test_empty_h_needs_no_component_search(monkeypatch):
     # G∘(empty H) is G, and G's base coloring colors it whole; every G with
     # 1-7 vertices, disconnected ones included
     from coronacolor import construct
-
-    def no_search(*args):
-        raise AssertionError("component search with an empty H")
 
     monkeypatch.setattr(construct, "npdtc_search", no_search)
     gs = [g for ng in range(1, 8) for g in enumerate_subcubic(ng)]
@@ -498,19 +498,21 @@ def test_injected_violations_are_an_internal_error(monkeypatch):
     assert "VertexVertexClash" in verify_calls[0]
 
 
-def test_isolated_vertices_share_one_cone_search(monkeypatch):
-    # every isolated vertex's component is the cone K1∘H, searched once per
-    # call; each copy block then carries the same colors
+def test_isolated_vertices_share_one_cone_coloring(monkeypatch):
+    # every isolated vertex's component is the cone K1∘H, whose two free
+    # colors cone_colors picks once per call, with no search; each hub, copy,
+    # spoke run and copy block then carries the same colors
     from coronacolor import construct
 
     calls = []
-    real_search = construct.npdtc_search
+    real_cone = construct.cone_colors
 
-    def counting_search(sub, bound, budget):
-        calls.append(sub)
-        return real_search(sub, bound, budget)
+    def counting_cone(*args):
+        calls.append(args)
+        return real_cone(*args)
 
-    monkeypatch.setattr(construct, "npdtc_search", counting_search)
+    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    monkeypatch.setattr(construct, "cone_colors", counting_cone)
     g = new_graph(5, [(0, 1)])
     hs = [h for nh in range(1, 5) for h in enumerate_subcubic(nh)]
     for h in hs:
@@ -519,28 +521,83 @@ def test_isolated_vertices_share_one_cone_search(monkeypatch):
         assert len(calls) == 1
         vc, ec = res.coloring.vertex_colors, res.coloring.edge_colors
         m_h, block0 = len(h.edges), len(res.graph.edges) - 5 * len(h.edges)
+        starts = corona_edge_starts(g, h.n)
+        hubs = {vc[v] for v in (2, 3, 4)}
         copies = {vc[5 + v * h.n:5 + (v + 1) * h.n] for v in (2, 3, 4)}
+        spokes = {ec[starts[v]:starts[v + 1]] for v in (2, 3, 4)}
         blocks = {ec[block0 + v * m_h:block0 + (v + 1) * m_h] for v in (2, 3, 4)}
-        assert len(copies) == len(blocks) == 1
+        assert len(hubs) == len(copies) == len(spokes) == len(blocks) == 1
         assert [tag for _, tag in res.trace.component_cases][1:] == [FALLBACK] * 3
     assert len(hs) == 18
 
 
-def test_violation_in_a_searched_component_is_an_internal_error(monkeypatch):
+def test_violation_in_a_cone_is_an_internal_error(monkeypatch):
+    # the hub takes the position-1 color, or no position-1 color fits (0):
+    # either fails the one verification pass, with no search to fall back on
     from coronacolor import construct
-    from coronacolor.search import TotalColoring
 
-    calls = []
+    real_cone = construct.cone_colors
+    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    for broken in (lambda c, hub: (c, c), lambda c, hub: (0, hub)):
+        monkeypatch.setattr(construct, "cone_colors",
+                            lambda *args, broken=broken: broken(*real_cone(*args)))
+        with pytest.raises(AssertionError, match="failed verification"):
+            color_corona(new_graph(1), k(2))
 
-    def clashing_search(sub, bound, budget):
-        calls.append(sub)
-        if len(calls) > 1:
-            raise RuntimeError("component searched twice")
-        return TotalColoring((1,) * sub.n, tuple(range(2, 2 + len(sub.edges))), bound)
 
-    monkeypatch.setattr(construct, "npdtc_search", clashing_search)
-    with pytest.raises(AssertionError, match="failed verification"):
-        color_corona(new_graph(1), k(2))  # an isolated vertex: searched at once
+# G of max_degree 0..3 that keep an isolated vertex: K1, K2+K1, P3+K1, K1,3+K1
+CONE_G = [new_graph(1), new_graph(3, [(0, 1)]), new_graph(4, [(0, 1), (1, 2)]),
+          new_graph(5, [(0, 1), (0, 2), (0, 3)])]
+
+
+def test_cone_rule_on_every_small_h(monkeypatch):
+    # the finite half of the cone rule's argument.  Position 1 has at most 10
+    # forbidden colors against a palette of dg+|V(H)|+3, so only |V(H)| <= 7
+    # needs checking, and the hub's product check binds only when |V(H)| <= 4;
+    # here every H up to 8 vertices (677) meets every dg, with no search
+    from coronacolor import construct
+
+    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    hs = [h for nh in range(1, 9) for h in enumerate_subcubic(nh)]
+    for g in CONE_G:
+        for h in hs:
+            res = color_corona(g, h)
+            assert verify_npd(res.graph, res.coloring).ok
+            assert res.coloring.max_color == res.trace.palette_bound
+            assert res.trace.component_cases[-1] == ((g.n - 1,), FALLBACK)
+    assert len(hs) == 677
+    # with dg = 0 the ladder starts at 4, and for some H Vizing puts 4 on an
+    # edge at sigma[0] or sigma[1], so colors 4 and c trade places first
+    near_4 = [h for h in hs
+              if any(4 in edge_colors_at(h, vizing_color(h), u)
+                     for u in sort_by_product(vizing_color(h), h)[:2])]
+    assert parse_graph6(CASE11_H) in near_4
+
+
+def test_edgeless_g_trades_color_4():
+    # K1∘EUxo, the smallest such cone: Vizing puts 4 on edges at sigma[0] and
+    # sigma[1], which would meet position 1's spoke and position 2's vertex
+    # color, both 4 when dg = 0; the copy block trades colors 4 and 3
+    h = parse_graph6(CASE11_H)
+    res = color_corona(new_graph(1), h)
+    assert res.coloring.max_color == res.trace.palette_bound == 9
+    block = res.coloring.edge_colors[h.n:]  # K1∘H's spokes come first
+    assert block == tuple({4: 3, 3: 4}.get(c, c) for c in vizing_color(h))
+    assert all(4 not in edge_colors_at(h, block, u) for u in res.trace.sigma[:2])
+
+
+def test_random_cones_need_no_search(monkeypatch):
+    # K1 times random H of up to 3,000 vertices: dg = 0, where the ladder
+    # starts at color 4 and a cone is all of the corona
+    from coronacolor import construct
+
+    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    for n in (5, 7, 10, 30, 100, 300, 1000, 3000):
+        for seed in range(3):
+            res = color_corona(new_graph(1), gen_random_subcubic(n, seed))
+            assert verify_npd(res.graph, res.coloring).ok
+            assert res.coloring.max_color == res.trace.palette_bound == n + 3
+            assert res.trace.case_tag == FALLBACK
 
 
 def test_violation_with_an_empty_h_is_an_internal_error(monkeypatch):
