@@ -2,13 +2,14 @@
 
 Vertices are dense integers 0..n-1.  Edges are unordered pairs stored as
 sorted tuples in lexicographic order, which fixes the canonical edge order
-used throughout the package.
+used throughout the package; a graph is n and that edge list alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
@@ -22,21 +23,29 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph."""
+    """Immutable simple undirected graph: n and its canonical edges, which
+    alone set equality and hashing; adj is derived on first read and kept."""
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        # lexicographic edges give each vertex its neighbours in sorted order
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(map(tuple, nbrs))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Validate and build a graph from an unordered pair list."""
+    """Validate an unordered pair list; the graph keeps its canonical edges."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    adj: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):
@@ -47,9 +56,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e}")
         seen.add(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    return Graph(n, tuple(tuple(sorted(nb)) for nb in adj), tuple(sorted(seen)))
+    return Graph(n, tuple(sorted(seen)))
 
 
 def max_degree(g: Graph) -> int:
@@ -95,8 +102,8 @@ def is_connected(g: Graph) -> bool:
 def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph plus the sorted original vertices (new id = position).
 
-    Reads only the kept vertices' adjacency, so it costs O(edges kept), not
-    O(all edges of g).
+    Reads only the kept vertices' adjacency: O(edges kept) once g.adj
+    exists, not O(all edges of g), which the first read of g.adj costs.
     """
     verts = tuple(sorted(set(vertices)))
     back = {v: i for i, v in enumerate(verts)}
@@ -149,28 +156,24 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     revalidation, and its edge layout is a contract that colorings are
     written by: for each v_j in turn, its g-edges to larger vertices and
     then its spokes in copy order, followed by each copy's shifted h.edges
-    (see corona_edge_starts).  Every adjacency tuple comes out sorted as
-    well.  With an empty second factor the product is g itself.
+    (see corona_edge_starts); no adjacency is built unless read.  With an
+    empty second factor the product is g itself.
     """
     if g.n < 1:
         raise ValueError("corona needs at least one vertex in the first factor")
     cmap = CoronaMap(g.n, h.n)
     if h.n == 0:
         return g, cmap
-    # copy j's vertices in h's order; the edges and adjacency tuples below
-    # share these int objects instead of allocating their own
+    # copy j's vertices in h's order: int objects the edges below share
     copies = [tuple(range(base, base + h.n))
               for base in (cmap.copy_vertex(j, 1) for j in range(1, g.n + 1))]
     edges: list[tuple[int, int]] = []
-    adj: list[tuple[int, ...]] = []
     for v, copy in enumerate(copies):
         edges += [(v, w) for w in g.adj[v] if w > v]
         edges += [(v, x) for x in copy]
-        adj.append(g.adj[v] + copy)
-    for v, copy in enumerate(copies):
+    for copy in copies:
         edges += [(copy[a], copy[b]) for a, b in h.edges]
-        adj += [(v, *[copy[w] for w in nb]) for nb in h.adj]
-    return Graph(cmap.n, tuple(adj), tuple(edges)), cmap
+    return Graph(cmap.n, tuple(edges)), cmap
 
 
 def corona_edge_starts(g: Graph, n_h: int) -> list[int]:

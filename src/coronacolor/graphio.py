@@ -23,9 +23,9 @@ from .search import TotalColoring
 
 GRAPH6_HEADER = ">>graph6<<"
 
-# An edge-list header fixes n on its own and new_graph builds one adjacency
-# list per vertex, so an unbounded n would let a dozen bytes of input demand
-# gigabytes.  A 2**20-vertex graph takes about 100 MB.
+# An edge-list header fixes n on its own, and the first read of a graph's
+# adjacency (require_subcubic's) builds one list per vertex, so an unbounded
+# n would let a dozen bytes demand gigabytes; 2**20 vertices peak at 72 MiB.
 MAX_EDGE_LIST_VERTICES = 1 << 20
 
 # The graph6 text of an n-vertex graph is about n*n/12 bytes whatever its

@@ -13,6 +13,7 @@ import pytest
 from coronacolor import (
     color_corona,
     emit_graph6,
+    gen_random_subcubic,
     max_degree,
     new_graph,
     parse_graph6,
@@ -48,6 +49,25 @@ def test_color_k2_k2(tmp_path, capsys):
     assert payload["max_color"] == 6
     assert payload["corona_map"] == {"n_g": 2, "n_h": 2}
     assert "u_1^2" in dot.read_text()
+
+
+def test_color_command_builds_no_corona_adjacency(tmp_path, monkeypatch, capsys):
+    from coronacolor import cli
+
+    results = []
+
+    def keeping(g, h):
+        results.append(color_corona(g, h))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "color_corona", keeping)
+    gp = write_g6(tmp_path / "g.g6", gen_random_subcubic(100, 2))
+    hp = write_g6(tmp_path / "h.g6", gen_random_subcubic(8, 1))
+    out, dot = tmp_path / "col.json", tmp_path / "col.dot"
+    assert main(["color", "--g", gp, "--h", hp, "--out", str(out), "--dot", str(dot)]) == 0
+    assert capsys.readouterr().out.startswith("case=")
+    assert len(results) == 1 and results[0].graph.n == 900
+    assert "adj" not in vars(results[0].graph)
 
 
 def test_color_then_verify_both_modes(tmp_path):

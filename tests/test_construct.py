@@ -244,6 +244,18 @@ def test_determinism():
     assert a.coloring == b.coloring and a.trace == b.trace
 
 
+def test_color_corona_builds_no_corona_adjacency():
+    # color_corona writes colors by edge position and verifies from the
+    # edges, so the corona's adjacency is never derived
+    h = gen_random_subcubic(10, 3)
+    matching = new_graph(200, [(2 * i, 2 * i + 1) for i in range(100)])
+    isolated = new_graph(6, [(0, 1), (1, 2), (4, 5)])
+    for g in (gen_random_subcubic(300, 4), matching, isolated):
+        res = color_corona(g, h)
+        assert "adj" not in vars(res.graph)
+        assert verify_npd(res.graph, res.coloring).ok
+
+
 def test_rejects_non_subcubic():
     star = new_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(NotSubcubicError):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from coronacolor import (
     CopyVertex,
     CoronaMap,
     GVertex,
+    Graph,
     connected_components,
     corona,
     edge_index,
@@ -138,11 +141,49 @@ def reference_pairs():
     return pairs
 
 
+def adjacency_from_edges(g):
+    """Sorted neighbour tuples, one per vertex, read off g.edges."""
+    nbrs = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return tuple(tuple(sorted(nb)) for nb in nbrs)
+
+
 def test_corona_matches_reference_build():
+    graphs = [g for n in range(1, 7) for g in enumerate_subcubic(n)]
+    graphs += [gen_random_subcubic(n, seed) for n in (1, 50, 2000) for seed in (0, 1)]
+    for g in graphs:
+        # a graph is (n, edges): the adjacency, read or not, is not compared
+        built = new_graph(g.n, [(b, a) for a, b in reversed(g.edges)])
+        plain = Graph(g.n, tuple(sorted(g.edges)))
+        assert "adj" not in vars(built) and "adj" not in vars(plain)
+        assert built == plain and hash(built) == hash(plain)
+        assert built.adj == adjacency_from_edges(g)
+        assert built == plain and hash(built) == hash(plain)
     for g, h in reference_pairs():
         cg, cmap = corona(g, h)
         ref, ref_map = reference_corona(g, h)
-        assert (cg.n, cg.adj, cg.edges, cmap) == (ref.n, ref.adj, ref.edges, ref_map)
+        assert (cg.n, cg.edges, cmap) == (ref.n, ref.edges, ref_map)
+        assert cg.adj == adjacency_from_edges(cg) == ref.adj
+
+
+def test_corona_keeps_only_its_edges():
+    # each edge keeps a 2-tuple (56 bytes), its slot in cg.edges and, inside
+    # a copy, a share of the copy's new int objects: about 77 bytes in all.
+    # An adjacency tuple per corona vertex as well came to about 113.
+    g, h = gen_random_subcubic(2000, 1), gen_random_subcubic(50, 2)
+    assert g.adj and h.adj  # the factors' adjacency is theirs, not the corona's
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        cg, _ = corona(g, h)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cg.n == 102_000
+    assert kept - before < 90 * len(cg.edges)
+    assert "adj" not in vars(cg)
 
 
 def test_corona_edge_starts_match_edge_index():
