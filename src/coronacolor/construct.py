@@ -6,13 +6,14 @@ coloring of the second.  Every copy of the second factor is laid out along
 one ladder: sigma, its vertices sorted by edge-color product.  With
 dg = max_degree(G), position pos >= 2 of sigma gets vertex color dg+pos+2,
 and every position gets spoke color dg+pos+3, so the products inside each
-copy rise strictly.  The vertex color at position 1 is dg+3 = 4 in Case1_2,
-beta in Case1_1 (which also recolors the component edge and its ends), the
-avoidance color alpha_j in Case2, and for an isolated vertex, tagged Fallback
-as outside the paper's cases, the choice of ``cone_colors``, which also
-colors the vertex itself.  Colors are written by edge position
-(corona_edge_starts): each copy's vertex colors and spokes are slices of one
-ladder template, and the copy edges repeat the second factor's edge
+copy rise strictly.  One case rule, decided once per call, gives the vertex
+color at position 1: dg+3 = 4 in Case1_2, beta in Case1_1 (which also
+recolors each edge of G and its ends), the avoidance color alpha_j in Case2,
+and for an isolated vertex, tagged Fallback as outside the paper's cases,
+the choice of ``cone_colors``, which also colors the vertex itself.  Colors
+are written in the corona's canonical edge order: for each vertex of the
+first factor its edges to larger vertices, its spokes and its copy of the
+ladder, then the copy edges, which repeat the second factor's edge
 coloring.  No component is searched: with an empty second factor the corona
 is the first factor, and its base coloring is the whole coloring (tagged
 Fallback).  One verifier pass over the corona checks every returned
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .edgecolor import edge_colors_at, vizing_color
-from .graph import (CoronaMap, Graph, connected_components, corona, corona_edge_starts,
-                    max_degree, require_subcubic)
+from .graph import (CoronaMap, Graph, connected_components, corona, max_degree,
+                    require_subcubic)
 from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches these
 from .search import TotalColoring, base_coloring, npdtc_search  # npdtc_search likewise
 from .verify import star_products, verify_npd
@@ -69,16 +70,22 @@ def sort_by_product(ecol: tuple[int, ...], h: Graph) -> tuple[int, ...]:
     return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
-def min_copy_color(
-    v: int, base: TotalColoring, s_min: frozenset[int], delta_g: int, v_star: int
-) -> tuple[int, str]:
-    """Color of copy v+1's minimum vertex sigma[0] and the case it follows.
+def case1_color(s_min: frozenset[int]) -> tuple[int, str]:
+    """Position-1 color and case when max_degree(G) is 1, from s_min, the edge
+    colors at sigma[0]: 4 (Case1_2) while 4 misses sigma[0], else beta, the
+    smallest color of {1,2,3} missing there (Case1_1)."""
+    if 4 not in s_min:
+        return 4, CASE_1_2
+    free = {1, 2, 3} - s_min
+    if not free:
+        raise AssertionError("no color of {1,2,3} misses the minimum-product vertex")
+    return min(free), CASE_1_1
 
-    s_min is the set of edge colors at sigma[0].  When max_degree(G) is 1 the
-    color is 4 (Case1_2) while color 4 misses sigma[0], else beta, the
-    smallest color of {1,2,3} missing there (Case1_1); otherwise it is
-    alpha_j, the smallest color c of 1..5 missing from s_min and v's own color
-    with c*prod(s_min) != v_star (Case2).
+
+def min_copy_color(v: int, base: TotalColoring, s_min: frozenset[int], v_star: int) -> int:
+    """alpha_j, the Case2 color of copy v+1's minimum vertex sigma[0]: the
+    smallest c of 1..5 missing from s_min, the set of edge colors at
+    sigma[0], and from v's own color, with c*prod(s_min) != v_star.
 
     v_star is prod_G(v), v's closed-star product in the base coloring, times
     the spokes dg+p+3 of positions p = 2..4 (beyond, v_star exceeds 120 >=
@@ -89,17 +96,10 @@ def min_copy_color(
     5*prod(s_min) <= 5*min(n_h, 4)!.  Any alpha <= 5 stays below dg+4, the
     lowest ladder color, so the copy stays proper and its products rising.
     """
-    if delta_g == 1:
-        if 4 not in s_min:
-            return 4, CASE_1_2
-        free = {1, 2, 3} - s_min
-        if not free:
-            raise AssertionError("no color of {1,2,3} misses the minimum-product vertex")
-        return min(free), CASE_1_1
     p_min = math.prod(s_min)
     for c in (1, 2, 3, 4, 5):
         if c not in s_min and c != base.vertex_colors[v] and c * p_min != v_star:
-            return c, CASE_2
+            return c
     raise AssertionError("all of 1..5 forbidden; subcubic factors forbid four at most")
 
 
@@ -130,15 +130,14 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
-    g's vertices and edges keep g's base coloring; with h empty the corona
-    is g and nothing more is colored, though its components stay tagged
-    Fallback.  Otherwise every component lays each of its copies along the
-    ladder, with dg the global maximum degree so that all components share
-    one palette bound, and position 1 colored by ``min_copy_color``, or by
-    ``cone_colors`` once per call for every isolated vertex, which it also
-    colors; in Case1_1 the component edge takes beta too and its ends the
-    other two colors of {1,2,3}.  One verifier pass over the whole corona
-    checks the result; a violation is an internal error.
+    The case is decided once per call: Case2 when max_degree(g) >= 2, by
+    ``case1_color`` when it is 1, and Fallback for isolated vertices or an
+    empty h, whose corona is g, colored by g's base coloring.  Otherwise one
+    walk over g's vertices writes the colors in the corona's canonical edge
+    order: v's g-edges to larger vertices, in base colors or beta (Case1_1,
+    its ends then the other two of {1,2,3}), v's spokes and v's copy of the
+    ladder; then the copy edges repeat h's edge coloring.  One verifier pass
+    over the corona checks the result; a violation is an internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -146,17 +145,8 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     dg = max_degree(g)
     # v_j has degree dg+|V(h)| at most, which no copy vertex's deg+1 <= |V(h)| exceeds
     bound = dg + h.n + 3
-    starts = corona_edge_starts(g, h.n)
-    vcol = [0] * cg.n
-    earr = [0] * len(cg.edges)
-    comps = connected_components(g)
-    tags = [FALLBACK] * len(comps)
     base = base_coloring(g)
-    vcol[:g.n] = base.vertex_colors
-    for v in range(g.n):
-        up = starts[v + 1] - h.n  # spokes start; g-edges up sit v*|V(h)| past g.edges
-        earr[starts[v]:up] = base.edge_colors[starts[v] - v * h.n:up - v * h.n]
-    sigma: tuple[int, ...] = ()
+    case, sigma, coloring = FALLBACK, (), base
     if h.n:
         vizing = vizing_color(h)
         # dg = 0: trade colors 4 and the first c of 4, 3, 2, 1 keeping 4 off sigma[:2]'s edges
@@ -166,38 +156,51 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
             if dg or all(4 not in edge_colors_at(h, ecol, u) for u in sigma[:2]):
                 break
         s_min = edge_colors_at(h, ecol, sigma[0])
-        earr[starts[g.n]:] = ecol * g.n
         # copy j's vertex colors and spokes in h's vertex order
         ladder, spokes = [0] * h.n, [0] * h.n
         for pos, u in enumerate(sigma, 1):
             ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
-        # min_copy_color's v_star: star products in the base coloring, spokes 2..4
-        star = star_products(base.vertex_colors, g, base.edge_colors)
-        tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
-        if any(len(comp) == 1 for comp in comps):
+        if dg == 1:
+            first, case = case1_color(s_min)
+        elif dg:
+            case = CASE_2
+            # min_copy_color's v_star: star products in the base coloring, spokes 2..4
+            star = star_products(base.vertex_colors, g, base.edge_colors)
+            tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
+        if not all(g.adj):
             cone = cone_colors(h, ecol, sigma[0], ladder, spokes)
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                if len(comp) == 1:  # the hub of a cone; its tag stays Fallback
-                    ladder[sigma[0]], vcol[v] = cone
-                else:
-                    ladder[sigma[0]], tags[ci] = min_copy_color(v, base, s_min, dg, star[v] * tail)
-                vcol[g.n + v * h.n:g.n + (v + 1) * h.n] = ladder
-                earr[starts[v + 1] - h.n:starts[v + 1]] = spokes
-            if tags[ci] == CASE_1_1:  # the position-1 color is beta
-                beta = ladder[sigma[0]]
-                vcol[comp[0]], vcol[comp[1]] = sorted({1, 2, 3} - {beta})
-                earr[starts[comp[0]]] = beta
-    coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr, default=0)))
+        vcol = list(base.vertex_colors)
+        earr: list[int] = []
+        t = 0  # v's g-edges to larger vertices are the next of base.edge_colors
+        for v, nb in enumerate(g.adj):
+            up = sum(w > v for w in nb)
+            if case == CASE_1_1 and up:
+                vcol[v], vcol[nb[0]] = sorted({1, 2, 3} - {first})
+                earr.append(first)
+            else:
+                earr += base.edge_colors[t:t + up]
+            t += up
+            earr += spokes
+            if not nb:  # the hub of a cone
+                ladder[sigma[0]], vcol[v] = cone
+            elif case == CASE_2:
+                ladder[sigma[0]] = min_copy_color(v, base, s_min, star[v] * tail)
+            else:
+                ladder[sigma[0]] = first
+            vcol += ladder
+        earr += ecol * g.n
+        coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr)))
     report = verify_npd(cg, coloring)
     if not report.ok:
         raise AssertionError(f"constructed coloring failed verification: {report.violations[:3]}")
     if coloring.max_color > bound:
         raise AssertionError(f"{coloring.max_color} colors exceed bound {bound}")
+    cases = [(comp, case if len(comp) > 1 else FALLBACK) for comp in connected_components(g)]
+    tags = {tag for _, tag in cases}
     trace = ConstructionTrace(
-        case_tag=tags[0] if len(set(tags)) == 1 else MIXED,
+        case_tag=tags.pop() if len(tags) == 1 else MIXED,
         sigma=sigma,
-        component_cases=tuple((comp, tags[ci]) for ci, comp in enumerate(comps)),
+        component_cases=tuple(cases),
         palette_bound=bound,
     )
     return ColorResult(cg, cmap, coloring, trace)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -153,11 +152,10 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     """Corona product: one copy of g plus g.n copies of h, v_j joined to all of copy j.
 
     The graph is built directly in canonical order, with no sort or
-    revalidation, and its edge layout is a contract that colorings are
-    written by: for each v_j in turn, its g-edges to larger vertices and
-    then its spokes in copy order, followed by each copy's shifted h.edges
-    (see corona_edge_starts); no adjacency is built unless read.  With an
-    empty second factor the product is g itself.
+    revalidation: for each v_j in turn, its g-edges to larger vertices and
+    then its spokes in copy order, followed by each copy's shifted h.edges.
+    color_corona writes its colors in that order.  No adjacency is built
+    unless read.  With an empty second factor the product is g itself.
     """
     if g.n < 1:
         raise ValueError("corona needs at least one vertex in the first factor")
@@ -174,16 +172,6 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     for copy in copies:
         edges += [(copy[a], copy[b]) for a, b in h.edges]
     return Graph(cmap.n, tuple(edges)), cmap
-
-
-def corona_edge_starts(g: Graph, n_h: int) -> list[int]:
-    """Edge positions in corona(g, h) for any h with n_h vertices.
-
-    starts[v] is the position of v's first edge to a larger g-vertex, and
-    v's n_h spokes end its run at starts[v+1].  starts[g.n] opens the copy
-    block, where copy j's t-th h-edge sits at starts[g.n] + (j-1)*|E(h)| + t.
-    """
-    return [0, *accumulate(sum(w > v for w in nb) + n_h for v, nb in enumerate(g.adj))]
 
 
 def gen_random_subcubic(n: int, seed: int) -> Graph:

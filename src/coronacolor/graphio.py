@@ -266,7 +266,7 @@ def parse_coloring_json(text: str) -> ColoringDocument:
     """Parse and validate a coloring document; the inverse of emit_coloring_json."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise SchemaViolationError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaViolationError("top level must be an object")

@@ -201,10 +201,10 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
 def test_color_internal_error_exit(tmp_path, monkeypatch, capsys):
     from coronacolor import construct
 
-    # copy 1's position-1 vertex takes position 2's color: the coloring
-    # fails its one verification pass
-    def clashing_pick(v, base, s_min, delta_g, v_star):
-        return delta_g + 4, construct.CASE_2
+    # copy 1's position-1 vertex takes position 2's color, max_degree(K3)+4:
+    # the coloring fails its one verification pass
+    def clashing_pick(v, base, s_min, v_star):
+        return 2 + 4
 
     monkeypatch.setattr(construct, "min_copy_color", clashing_pick)
     gp = write_g6(tmp_path / "g.g6", k(3))
@@ -271,9 +271,13 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
     doc = tmp_path / "c.json"
     assert main(["chi", "--graph", gp, "--out", str(doc)]) == 0
     capsys.readouterr()
+    # a 2 kB coloring document of 1,000 nested arrays
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
     for args in (["chi", "--graph", str(raw)],
                  ["verify", "--graph", str(raw), "--coloring", str(doc)],
-                 ["verify", "--graph", gp, "--coloring", str(raw)]):
+                 ["verify", "--graph", gp, "--coloring", str(raw)],
+                 ["verify", "--graph", gp, "--coloring", str(deep)]):
         assert main(args) == 2
         assert_one_line(capsys.readouterr().err, "parse error:")
 

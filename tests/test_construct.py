@@ -27,7 +27,6 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.errors import NotSubcubicError
-from coronacolor.graph import corona_edge_starts
 from oracles import product_at
 
 # the only subcubic H with at most 6 vertices whose edge coloring puts color 4
@@ -44,10 +43,21 @@ def k(n):
     return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
-def no_search(*args):
-    # patched over construct.npdtc_search: color_corona searches no component;
-    # base_coloring's own search is search.npdtc_search, not this name
-    raise AssertionError("a component search")
+def count_searches(mp):
+    """Record the graph of every exact search from here on: npdtc_search and
+    chi_prod_exact both run search._search.  color_corona's only one is the
+    base coloring of G, so no component and no cone is searched."""
+    from coronacolor import search
+
+    searched = []
+    real = search._search
+
+    def counting(g, *args, **kwargs):
+        searched.append(g)
+        return real(g, *args, **kwargs)
+
+    mp.setattr(search, "_search", counting)
+    return searched
 
 
 def cycle(n):
@@ -409,11 +419,10 @@ SUBCUBIC_G = (
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(SUBCUBIC_G, st.sampled_from(SMALL_H) | st.just(parse_graph6(CASE11_H)))
 def test_color_corona_property(g, h):
-    from coronacolor import construct
-
     with pytest.MonkeyPatch.context() as mp:  # cones of isolated vertices included
-        mp.setattr(construct, "npdtc_search", no_search)
+        searched = count_searches(mp)
         res = color_corona(g, h)
+    assert searched == [g]
     assert verify_npd(res.graph, res.coloring).ok
     assert res.coloring.max_color <= res.trace.palette_bound == max_degree(res.graph) + 3
     assert [comp for comp, _ in res.trace.component_cases] == connected_components(g)
@@ -428,16 +437,16 @@ def test_structured_corpus_needs_no_search(monkeypatch):
     # sweep corpus, G = K1 included), and every G with 2-7 vertices and an
     # isolated vertex times the same H, colors with the component search
     # disabled; only the isolated vertices' cones are tagged Fallback
-    from coronacolor import construct
-
-    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    searched = count_searches(monkeypatch)
     hs = [h for nh in range(1, 6) for h in enumerate_subcubic(nh)]
     gs = [g for ng in range(1, 8) for g in enumerate_subcubic(ng, connected=True)]
     gs += [g for ng in range(2, 8) for g in enumerate_subcubic(ng) if not all(g.adj)]
     pairs = 0
     for g in gs:
         for h in hs:
+            searched.clear()
             res = color_corona(g, h)
+            assert searched == [g]
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color <= res.trace.palette_bound
             assert all((tag == FALLBACK) == (len(comp) == 1)
@@ -449,12 +458,12 @@ def test_structured_corpus_needs_no_search(monkeypatch):
 def test_empty_h_needs_no_component_search(monkeypatch):
     # G∘(empty H) is G, and G's base coloring colors it whole; every G with
     # 1-7 vertices, disconnected ones included
-    from coronacolor import construct
-
-    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    searched = count_searches(monkeypatch)
     gs = [g for ng in range(1, 8) for g in enumerate_subcubic(ng)]
     for g in gs:
+        searched.clear()
         res = color_corona(g, new_graph(0))
+        assert searched == [g]
         assert verify_npd(res.graph, res.coloring).ok
         assert all(tag == FALLBACK for _, tag in res.trace.component_cases)
     assert len(gs) == 253
@@ -479,9 +488,10 @@ def test_injected_violations_are_an_internal_error(monkeypatch):
     h = k(2)
     assert all(t == CASE_2 for _, t in color_corona(g, h).trace.component_cases)
     real_pick = construct.min_copy_color
+    delta_g = max_degree(g)
 
-    def broken_pick(v, base, s_min, delta_g, v_star):
-        color, tag = real_pick(v, base, s_min, delta_g, v_star)
+    def broken_pick(v, base, s_min, v_star):
+        color = real_pick(v, base, s_min, v_star)
         if v == 0:
             # product collision only: v's product is star_G(v) times its two
             # corona edge colors delta_g+4 and delta_g+5; the copy vertex's is
@@ -491,7 +501,7 @@ def test_injected_violations_are_an_internal_error(monkeypatch):
             # proper clash inside copy 7: position 1 takes position 2's color,
             # so the violation names copy vertices
             color = delta_g + 4
-        return color, tag
+        return color
 
     verify_calls = []
     real_verify = construct.verify_npd
@@ -523,20 +533,21 @@ def test_isolated_vertices_share_one_cone_coloring(monkeypatch):
         calls.append(args)
         return real_cone(*args)
 
-    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    searched = count_searches(monkeypatch)
     monkeypatch.setattr(construct, "cone_colors", counting_cone)
     g = new_graph(5, [(0, 1)])
     hs = [h for nh in range(1, 5) for h in enumerate_subcubic(nh)]
     for h in hs:
         calls.clear()
+        searched.clear()
         res = color_corona(g, h)
-        assert len(calls) == 1
+        assert len(calls) == 1 and searched == [g]
         vc, ec = res.coloring.vertex_colors, res.coloring.edge_colors
         m_h, block0 = len(h.edges), len(res.graph.edges) - 5 * len(h.edges)
-        starts = corona_edge_starts(g, h.n)
         hubs = {vc[v] for v in (2, 3, 4)}
         copies = {vc[5 + v * h.n:5 + (v + 1) * h.n] for v in (2, 3, 4)}
-        spokes = {ec[starts[v]:starts[v + 1]] for v in (2, 3, 4)}
+        # the edge (0, 1) comes first, then each vertex's h.n spokes in turn
+        spokes = {ec[1 + v * h.n:1 + (v + 1) * h.n] for v in (2, 3, 4)}
         blocks = {ec[block0 + v * m_h:block0 + (v + 1) * m_h] for v in (2, 3, 4)}
         assert len(hubs) == len(copies) == len(spokes) == len(blocks) == 1
         assert [tag for _, tag in res.trace.component_cases][1:] == [FALLBACK] * 3
@@ -549,12 +560,14 @@ def test_violation_in_a_cone_is_an_internal_error(monkeypatch):
     from coronacolor import construct
 
     real_cone = construct.cone_colors
-    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    searched = count_searches(monkeypatch)
     for broken in (lambda c, hub: (c, c), lambda c, hub: (0, hub)):
         monkeypatch.setattr(construct, "cone_colors",
                             lambda *args, broken=broken: broken(*real_cone(*args)))
+        searched.clear()
         with pytest.raises(AssertionError, match="failed verification"):
             color_corona(new_graph(1), k(2))
+        assert searched == [new_graph(1)]
 
 
 # G of max_degree 0..3 that keep an isolated vertex: K1, K2+K1, P3+K1, K1,3+K1
@@ -567,13 +580,13 @@ def test_cone_rule_on_every_small_h(monkeypatch):
     # forbidden colors against a palette of dg+|V(H)|+3, so only |V(H)| <= 7
     # needs checking, and the hub's product check binds only when |V(H)| <= 4;
     # here every H up to 8 vertices (677) meets every dg, with no search
-    from coronacolor import construct
-
-    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    searched = count_searches(monkeypatch)
     hs = [h for nh in range(1, 9) for h in enumerate_subcubic(nh)]
     for g in CONE_G:
         for h in hs:
+            searched.clear()
             res = color_corona(g, h)
+            assert searched == [g]
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color == res.trace.palette_bound
             assert res.trace.component_cases[-1] == ((g.n - 1,), FALLBACK)
@@ -601,12 +614,12 @@ def test_edgeless_g_trades_color_4():
 def test_random_cones_need_no_search(monkeypatch):
     # K1 times random H of up to 3,000 vertices: dg = 0, where the ladder
     # starts at color 4 and a cone is all of the corona
-    from coronacolor import construct
-
-    monkeypatch.setattr(construct, "npdtc_search", no_search)
+    searched = count_searches(monkeypatch)
     for n in (5, 7, 10, 30, 100, 300, 1000, 3000):
         for seed in range(3):
+            searched.clear()
             res = color_corona(new_graph(1), gen_random_subcubic(n, seed))
+            assert searched == [new_graph(1)]
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color == res.trace.palette_bound == n + 3
             assert res.trace.case_tag == FALLBACK

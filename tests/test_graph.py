@@ -9,7 +9,6 @@ from coronacolor import (
     Graph,
     connected_components,
     corona,
-    edge_index,
     enumerate_subcubic,
     gen_random_subcubic,
     is_connected,
@@ -18,7 +17,6 @@ from coronacolor import (
     subgraph,
 )
 from coronacolor.errors import DuplicateEdgeError, EndpointOutOfRangeError, SelfLoopError
-from coronacolor.graph import corona_edge_starts
 
 
 def k(n):
@@ -166,6 +164,7 @@ def test_corona_matches_reference_build():
         ref, ref_map = reference_corona(g, h)
         assert (cg.n, cg.edges, cmap) == (ref.n, ref.edges, ref_map)
         assert cg.adj == adjacency_from_edges(cg) == ref.adj
+        assert max_degree(g) + h.n == max_degree(cg)  # the palette bound, less 3
 
 
 def test_corona_keeps_only_its_edges():
@@ -184,25 +183,6 @@ def test_corona_keeps_only_its_edges():
     assert cg.n == 102_000
     assert kept - before < 90 * len(cg.edges)
     assert "adj" not in vars(cg)
-
-
-def test_corona_edge_starts_match_edge_index():
-    for g, h in reference_pairs():
-        cg, cmap = corona(g, h)
-        eidx = edge_index(cg)
-        starts = corona_edge_starts(g, h.n)
-        assert len(starts) == g.n + 1
-        for v in range(g.n):
-            spokes = [cmap.copy_vertex(v + 1, i) for i in range(1, h.n + 1)]
-            run = [eidx[(v, w)] for w in g.adj[v] if w > v] + [eidx[(v, x)] for x in spokes]
-            assert run == list(range(starts[v], starts[v + 1]))
-        block = [starts[g.n] + (j - 1) * len(h.edges) + t
-                 for j in range(1, g.n + 1) for t in range(len(h.edges))]
-        copy_edges = [eidx[(cmap.copy_vertex(j, a + 1), cmap.copy_vertex(j, b + 1))]
-                      for j in range(1, g.n + 1) for a, b in h.edges]
-        assert copy_edges == block
-        assert starts[g.n] + len(block) == len(cg.edges)
-        assert max_degree(g) + h.n == max_degree(cg)  # the palette bound, less 3
 
 
 def test_corona_map_roles_partition():

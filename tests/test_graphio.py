@@ -199,6 +199,10 @@ def test_coloring_json_rejects_bad_documents():
         parse_coloring_json('{"n": 2, "edges": [[0, 1]], "vertex_colors": [1], "edge_colors": [3], "max_color": 3}')
     with pytest.raises(SchemaViolationError, match="nonnegative"):
         parse_coloring_json('{"n": -1, "edges": [], "vertex_colors": [], "edge_colors": [], "max_color": 1}')
+    # nesting past the decoder's recursion limit, as arrays and as objects
+    for deep in ("[" * 1000 + "]" * 1000, '{"a":' * 100_000 + "1" + "}" * 100_000):
+        with pytest.raises(SchemaViolationError, match="invalid JSON"):
+            parse_coloring_json(deep)
     three = '{"n": 3, "edges": %s, "vertex_colors": [1, 2, 3], "edge_colors": [4, 5], "max_color": 5}'
     for edges, why in (
         ("[[0, 1], [1, 3]]", "bad edge list: edge"),  # endpoint out of range
