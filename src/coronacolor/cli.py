@@ -24,7 +24,6 @@ from .graphio import (
     MAX_EDGE_LIST_VERTICES,
     MAX_GRAPH6_BYTES,
     coloring_document,
-    document_coloring,
     emit_coloring_json,
     emit_dot,
     emit_edge_list,
@@ -124,10 +123,9 @@ def cmd_color(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.format)
     doc = _read(args.coloring, parse_coloring_json)
-    if doc.n != g.n or doc.edges != g.edges:
+    if doc.graph != g:
         raise _Failure(2, "parse error: coloring document does not describe the given graph")
-    coloring = document_coloring(doc)
-    report = verify_npd(g, coloring) if args.mode == "product" else verify_nvd(g, coloring)
+    report = (verify_npd if args.mode == "product" else verify_nvd)(g, doc.coloring)
     _write(None, report_to_json(report) + "\n")
     return 0 if report.ok else 1
 

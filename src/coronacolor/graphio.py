@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import (
     BadCharError,
     ColorOutOfRangeError,
-    DimensionMismatchError,
     DuplicateEdgeError,
     EdgeListParseError,
     EndpointOutOfRangeError,
@@ -18,8 +17,9 @@ from .errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
-from .graph import CoronaMap, Graph, GVertex, new_graph
+from .graph import CoronaMap, Graph, GVertex
 from .search import TotalColoring
+from .verify import check_cover
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -91,8 +91,8 @@ def parse_graph6(line: str) -> Graph:
         pad = 6 * need - nbits
         if pad and (data[-1] - 63) & ((1 << pad) - 1):
             raise TrailingGarbageError("nonzero padding bits")
-    # bit b is pair (i, j), i < j, in column order: b = j(j-1)/2 + i; only
-    # the payload bytes other than '?' (x = 0) are visited
+    # bit b is pair (i, j), i < j < n, in column order: b = j(j-1)/2 + i, so the
+    # sorted pairs are canonical edges; only payload bytes other than '?' are read
     edges = []
     marks = data.translate(_NONZERO_MARKS)
     pos = marks.find(1, idx)
@@ -104,7 +104,7 @@ def parse_graph6(line: str) -> Graph:
                 j = (1 + isqrt(1 + 8 * b)) // 2
                 edges.append((b - j * (j - 1) // 2, j))
         pos = marks.find(1, pos + 1)
-    return new_graph(n, edges)
+    return Graph(n, tuple(sorted(edges)))
 
 
 def graph6_length(n: int) -> int:
@@ -125,9 +125,9 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free."""
+    """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free.
+    Each edge is checked once, as its line is read; the graph is built from them."""
     n = m = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,7 +154,7 @@ def parse_edge_list(text: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {ln}: endpoints must be integers") from None
-        if len(edges) >= m:
+        if len(seen) >= m:
             raise EdgeListParseError(f"line {ln}: more than {m} edges")
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"line {ln}: endpoint outside 0..{n - 1}")
@@ -164,12 +164,11 @@ def parse_edge_list(text: str) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"line {ln}: duplicate edge {e}")
         seen.add(e)
-        edges.append(e)
     if n is None:
         raise EdgeListParseError("missing 'n m' header")
-    if len(edges) != m:
-        raise EdgeListParseError(f"expected {m} edges, found {len(edges)}")
-    return new_graph(n, edges)
+    if len(seen) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(seen)}")
+    return Graph(n, tuple(sorted(seen)))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -189,7 +188,7 @@ def emit_dot(doc: ColoringDocument) -> str:
     labels, colors become labels plus a fixed fill palette cycled by color
     number."""
     lines = ["graph corona {", "  node [shape=circle, style=filled, fillcolor=white];"]
-    for v, c in enumerate(doc.vertex_colors):
+    for v, c in enumerate(doc.coloring.vertex_colors):
         if doc.corona_map is not None:
             role = doc.corona_map.role(v)
             name = f"v_{role.j}" if isinstance(role, GVertex) else f"u_{role.i}^{role.j}"
@@ -198,40 +197,33 @@ def emit_dot(doc: ColoringDocument) -> str:
         lines.append(
             f'  n{v} [label="{name}\\n{c}", fillcolor="{PALETTE[(c - 1) % len(PALETTE)]}"];'
         )
-    for (a, b), c in zip(doc.edges, doc.edge_colors):
+    for (a, b), c in zip(doc.graph.edges, doc.coloring.edge_colors):
         lines.append(f'  n{a} -- n{b} [label="{c}", color="{PALETTE[(c - 1) % len(PALETTE)]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ColoringDocument:
-    """Serializable bundle of a graph and a total coloring of it."""
+class ColoringDocument(NamedTuple):
+    """A graph, a total coloring covering it and, for a corona, its vertex roles."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    vertex_colors: tuple[int, ...]
-    edge_colors: tuple[int, ...]
-    max_color: int
+    graph: Graph
+    coloring: TotalColoring
     corona_map: CoronaMap | None = None
 
 
 def coloring_document(
     g: Graph, coloring: TotalColoring, corona_map: CoronaMap | None = None
 ) -> ColoringDocument:
-    if len(coloring.vertex_colors) != g.n or len(coloring.edge_colors) != len(g.edges):
-        raise DimensionMismatchError("coloring does not cover the graph")
-    return ColoringDocument(
-        g.n, g.edges, coloring.vertex_colors, coloring.edge_colors, coloring.max_color, corona_map
-    )
+    check_cover(g, coloring)
+    return ColoringDocument(g, coloring, corona_map)
 
 
 def document_graph(doc: ColoringDocument) -> Graph:
-    return new_graph(doc.n, doc.edges)
+    return doc.graph
 
 
 def document_coloring(doc: ColoringDocument) -> TotalColoring:
-    return TotalColoring(doc.vertex_colors, doc.edge_colors, doc.max_color)
+    return doc.coloring
 
 
 def emit_coloring_json(doc: ColoringDocument) -> str:
@@ -239,11 +231,11 @@ def emit_coloring_json(doc: ColoringDocument) -> str:
     in compact JSON: a valid JSON object, read back by parse_coloring_json."""
     # the tuples go to json.dumps as they are: JSON writes them as arrays
     payload = {
-        "n": doc.n,
-        "edges": doc.edges,
-        "vertex_colors": doc.vertex_colors,
-        "edge_colors": doc.edge_colors,
-        "max_color": doc.max_color,
+        "n": doc.graph.n,
+        "edges": doc.graph.edges,
+        "vertex_colors": doc.coloring.vertex_colors,
+        "edge_colors": doc.coloring.edge_colors,
+        "max_color": doc.coloring.max_color,
         "corona_map": None
         if doc.corona_map is None
         else {"n_g": doc.corona_map.n_g, "n_h": doc.corona_map.n_h},
@@ -263,7 +255,8 @@ def _as_int(payload: dict, key: str) -> int:
 
 
 def parse_coloring_json(text: str) -> ColoringDocument:
-    """Parse and validate a coloring document; the inverse of emit_coloring_json."""
+    """Parse and validate a coloring document; the inverse of emit_coloring_json.
+    One pass checks the edges' canonical order, which makes them a valid Graph."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
@@ -290,7 +283,7 @@ def parse_coloring_json(text: str) -> ColoringDocument:
         raise SchemaViolationError("edges must be a list of [a, b] integer pairs")
     edges = tuple((e[0], e[1]) for e in raw_edges)
     # the color lists' lengths tie n to the size of the text, so a document
-    # cannot make document_graph build a graph far larger than the text
+    # cannot make the parser build a graph far larger than the text
     for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
         col = payload[key]
         if not isinstance(col, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in col):
@@ -324,11 +317,5 @@ def parse_coloring_json(text: str) -> ColoringDocument:
         if n_g < 1 or n_h < 0 or n_g * (1 + n_h) != n:
             raise SchemaViolationError("corona_map inconsistent with the vertex count")
         corona_map = CoronaMap(n_g, n_h)
-    return ColoringDocument(
-        n,
-        edges,
-        tuple(payload["vertex_colors"]),
-        tuple(payload["edge_colors"]),
-        max_color,
-        corona_map,
-    )
+    vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
+    return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)

@@ -23,6 +23,11 @@ from .graph import Graph, connected_components, max_degree, require_subcubic, su
 DEFAULT_BUDGET = 5_000_000
 BASE_BUDGET = 50_000_000  # node budget of base_coloring's search, read at call time
 
+# A search's set-up comes before its first node, so no budget bounds it; above
+# this many list slots (about 1 GiB) it is refused.  A subcubic graph within
+# the 2**20-vertex cap needs at most 2.5 * 2**20 * 7 + 15 * 2**20 with k <= 6.
+MAX_SEARCH_SLOTS = 1 << 26
+
 
 @dataclass(frozen=True)
 class TotalColoring:
@@ -54,6 +59,11 @@ def _conflict_lists(g: Graph) -> list[list[int]]:
                 conf[ie[x]].append(ie[y])
                 conf[ie[y]].append(ie[x])
     return conf
+
+
+def _setup_slots(deg: list[int], k: int) -> int:
+    """Slots of ``_search``'s ban counts and conflict lists, built before its first node."""
+    return (len(deg) + sum(deg) // 2) * (k + 1) + sum(d * (d + 2) for d in deg)
 
 
 def _element_order(conf: list[list[int]]) -> list[int]:
@@ -160,6 +170,8 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
         # both stars would need the whole palette, forcing equal products
         if deg[a] + 1 == k and deg[b] + 1 == k:
             return None
+    if (slots := _setup_slots(deg, k)) > MAX_SEARCH_SLOTS:
+        raise ValueError(f"search set-up of {slots} list slots exceeds {MAX_SEARCH_SLOTS}")
 
     conf = _conflict_lists(g)
     owners: list[tuple[int, ...]] = [(v,) for v in range(n)]

@@ -48,7 +48,8 @@ class VerifyReport:
         return not self.violations
 
 
-def _check_cover(g: Graph, coloring: TotalColoring) -> None:
+def check_cover(g: Graph, coloring: TotalColoring) -> None:
+    """Raise DimensionMismatchError unless coloring colors each vertex and edge of g."""
     if len(coloring.vertex_colors) != g.n or len(coloring.edge_colors) != len(g.edges):
         raise DimensionMismatchError(
             f"coloring covers {len(coloring.vertex_colors)} vertices / "
@@ -103,7 +104,7 @@ def _clean_products(g: Graph, coloring: TotalColoring) -> list[int] | None:
 
 def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
     """Report every adjacency/incidence clash and every color outside 1..max_color."""
-    _check_cover(g, coloring)
+    check_cover(g, coloring)
     products = _clean_products(g, coloring)
     if products is not None:
         return VerifyReport((), products)

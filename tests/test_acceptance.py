@@ -59,7 +59,7 @@ def test_criterion_1_bound_exhaustive(tmp_path):
             cg = document_graph(doc)
             bound = max_degree(g) + h.n + 3
             assert verify_npd(cg, document_coloring(doc)).ok
-            assert doc.max_color <= bound, (emit_graph6(g), emit_graph6(h))
+            assert doc.coloring.max_color <= bound, (emit_graph6(g), emit_graph6(h))
             pairs += 1
     elapsed = time.time() - start
     report(1, elapsed < 300, f"{pairs} exhaustive pairs colored and verified in {elapsed:.1f}s")

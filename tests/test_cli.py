@@ -481,3 +481,14 @@ def test_exhaustive_census(exhaustive_records):
         assert gap == 3 if exceptional else gap in (1, 2)
         assert r["chi_prod"] <= r["max_color"] <= r["bound"]
     assert gaps == {2: 3451, 1: 1180, 3: 2}
+
+
+def test_chi_refuses_a_search_setup_past_its_limit(tmp_path, capsys):
+    # the 8,000-leaf star is a 55 kB file whose search set-up, built before
+    # the budget counts a node, would take gigabytes
+    star = tmp_path / "star.el"
+    star.write_text("8001 8000\n" + "".join(f"0 {v}\n" for v in range(1, 8001)), encoding="utf-8")
+    assert main(["chi", "--graph", str(star), "--format", "edgelist"]) == 2
+    captured = capsys.readouterr()
+    assert_one_line(captured.err, "bad instance:")
+    assert captured.out == ""

@@ -43,6 +43,19 @@ def k(n):
     return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
+def dispatch_rule(g, h, res):
+    """Each component's tag by the README's dispatch rule: Case2 when
+    Δ(G) >= 2; when Δ(G) = 1, Case1_1 if H's edge coloring puts color 4 on
+    sigma[0] and Case1_2 otherwise; Fallback for a single vertex."""
+    if max_degree(g) >= 2:
+        case = CASE_2
+    elif 4 in edge_colors_at(h, vizing_color(h), res.trace.sigma[0]):
+        case = CASE_1_1
+    else:
+        case = CASE_1_2
+    return [(comp, case if len(comp) > 1 else FALLBACK) for comp in connected_components(g)]
+
+
 def count_searches(mp):
     """Record the graph of every exact search from here on: npdtc_search and
     chi_prod_exact both run search._search.  color_corona's only one is the
@@ -429,7 +442,7 @@ def test_color_corona_property(g, h):
     if h.n:
         # the structured rules cover every component; an isolated vertex's cone
         # is tagged Fallback, as outside the paper's cases
-        assert all((tag == FALLBACK) == (len(comp) == 1) for comp, tag in res.trace.component_cases)
+        assert list(res.trace.component_cases) == dispatch_rule(g, h, res)
 
 
 def test_structured_corpus_needs_no_search(monkeypatch):
@@ -449,8 +462,7 @@ def test_structured_corpus_needs_no_search(monkeypatch):
             assert searched == [g]
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color <= res.trace.palette_bound
-            assert all((tag == FALLBACK) == (len(comp) == 1)
-                       for comp, tag in res.trace.component_cases)
+            assert list(res.trace.component_cases) == dispatch_rule(g, h, res)
             pairs += 1
     assert (len(gs), pairs) == (113 + 103, (113 + 103) * 41)
 
@@ -474,9 +486,12 @@ def test_no_structured_component_fails_on_large_random_g():
     # v_j's star product
     gs = [gen_random_subcubic(1000, s) for s in range(8)] + [gen_random_subcubic(10000, 0)]
     for g in gs:
+        assert max_degree(g) == 3
         for h in (new_graph(1), new_graph(2), k(2)):
             res = color_corona(g, h)
-            assert all(tag != FALLBACK for comp, tag in res.trace.component_cases if len(comp) > 1)
+            assert all(tag == CASE_2 for comp, tag in res.trace.component_cases if len(comp) > 1)
+            assert verify_npd(res.graph, res.coloring).ok
+            assert res.coloring.max_color <= max_degree(res.graph) + 3
 
 
 def test_injected_violations_are_an_internal_error(monkeypatch):

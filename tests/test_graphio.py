@@ -9,7 +9,9 @@ import pytest
 from coronacolor import (
     ColoringDocument,
     CoronaMap,
+    Graph,
     TotalColoring,
+    base_coloring,
     color_corona,
     coloring_document,
     document_coloring,
@@ -158,9 +160,9 @@ def test_emit_dot_corona_labels():
 
 
 def test_coloring_json_round_trip_minimal():
-    doc = ColoringDocument(2, ((0, 1),), (1, 2), (3,), 3)
+    doc = ColoringDocument(Graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3))
     assert parse_coloring_json(emit_coloring_json(doc)) == doc
-    doc2 = ColoringDocument(2, ((0, 1),), (1, 2), (3,), 3, CoronaMap(1, 1))
+    doc2 = ColoringDocument(Graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3), CoronaMap(1, 1))
     assert parse_coloring_json(emit_coloring_json(doc2)) == doc2
 
 
@@ -173,17 +175,18 @@ def test_coloring_json_round_trip_random_documents():
         edges = tuple(sorted(pairs[: rng.randint(0, len(pairs))]))
         mx = rng.randint(1, 12)
         doc = ColoringDocument(
-            n,
-            edges,
-            tuple(rng.randint(1, mx) for _ in range(n)),
-            tuple(rng.randint(1, mx) for _ in edges),
-            mx,
+            Graph(n, edges),
+            TotalColoring(
+                tuple(rng.randint(1, mx) for _ in range(n)),
+                tuple(rng.randint(1, mx) for _ in edges),
+                mx,
+            ),
         )
         assert parse_coloring_json(emit_coloring_json(doc)) == doc
 
 
 def test_coloring_json_rejects_bad_documents():
-    doc = ColoringDocument(2, ((0, 1),), (1, 2), (3,), 3)
+    doc = ColoringDocument(Graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3))
     good = emit_coloring_json(doc)
     with pytest.raises(ColorOutOfRangeError):
         parse_coloring_json(good.replace('"vertex_colors": [1,', '"vertex_colors": [0,'))
@@ -214,7 +217,7 @@ def test_coloring_json_rejects_bad_documents():
     ):
         with pytest.raises(SchemaViolationError, match=why):
             parse_coloring_json(three % edges)
-    assert parse_coloring_json(three % "[[0, 1], [1, 2]]").edges == ((0, 1), (1, 2))
+    assert parse_coloring_json(three % "[[0, 1], [1, 2]]").graph.edges == ((0, 1), (1, 2))
 
 
 def test_coloring_json_layout():
@@ -234,7 +237,7 @@ def test_coloring_json_layout():
     assert parse_coloring_json(text) == doc
     # documents written with one number per line stay readable
     old = json.dumps(payload, indent=2) + "\n"
-    assert len(old.splitlines()) > 2 * len(doc.vertex_colors)
+    assert len(old.splitlines()) > 2 * len(doc.coloring.vertex_colors)
     assert parse_coloring_json(old) == doc
 
 
@@ -247,3 +250,34 @@ def test_constructed_coloring_document_reverifies():
     assert g == res.graph
     report = verify_npd(g, document_coloring(back))
     assert report.ok
+
+
+def test_coloring_document_is_a_graph_and_a_coloring():
+    assert ColoringDocument._fields == ("graph", "coloring", "corona_map")
+    res = color_corona(new_graph(3, [(0, 1), (1, 2)]), new_graph(2, [(0, 1)]))
+    doc = coloring_document(res.graph, res.coloring, res.corona_map)
+    assert (doc.graph, doc.coloring, doc.corona_map) == (res.graph, res.coloring, res.corona_map)
+    back = parse_coloring_json(emit_coloring_json(doc))
+    assert back.graph == doc.graph
+    assert (document_graph(back), document_coloring(back)) == (res.graph, res.coloring)
+
+
+def test_parsers_build_their_graph_once(monkeypatch):
+    # each parser checks its pairs as it reads them and builds the Graph from
+    # them as they stand; none validates the graph a second time
+    from coronacolor import graph, graphio
+
+    g = gen_random_subcubic(40, 5)
+    doc = coloring_document(g, base_coloring(g))
+    edge_list, graph6, document = emit_edge_list(g), emit_graph6(g), emit_coloring_json(doc)
+
+    def refuse(*args):
+        raise AssertionError("new_graph called")
+
+    for module in (graph, graphio):
+        monkeypatch.setattr(module, "new_graph", refuse, raising=False)
+    assert parse_edge_list(edge_list) == g
+    assert parse_graph6(graph6) == g
+    back = parse_coloring_json(document)
+    assert back == doc
+    assert document_graph(back) == g

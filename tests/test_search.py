@@ -287,3 +287,22 @@ def test_products_use_exact_integers():
         expected *= c
     assert product_at(g, tc, 0) == expected
     assert expected > 2**63
+
+
+def test_search_setup_limit_spares_every_subcubic_graph_within_the_cap():
+    # computed, not searched: the set-up grows with every degree and with k,
+    # so a cubic graph at the 2**20-vertex cap with k = 6 (base_coloring's
+    # palette, and chi's largest on a subcubic graph) is the largest there is
+    from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
+
+    cubic = [3] * MAX_EDGE_LIST_VERTICES
+    assert search._setup_slots(cubic, 6) <= search.MAX_SEARCH_SLOTS
+    # the formula counts what the set-up builds: ban counts and conflict lists
+    for g in (gen_random_subcubic(30, 1), k(5), new_graph(4, [(0, 1), (0, 2), (0, 3)])):
+        deg = [len(nb) for nb in g.adj]
+        total = g.n + len(g.edges)
+        assert search._setup_slots(deg, 7) == total * 8 + sum(map(len, _conflict_lists(g)))
+    # a star with 8,000 leaves at chi's first k is refused before the set-up
+    star = new_graph(8001, [(0, v) for v in range(1, 8001)])
+    with pytest.raises(ValueError, match="list slots"):
+        npdtc_search(star, 8001)

@@ -305,7 +305,7 @@ def test_huge_colors_verify_in_bounded_memory():
         big,
     )
     doc = parse_coloring_json(emit_coloring_json(coloring_document(res.graph, tc)))
-    assert doc.max_color == big
+    assert doc.coloring.max_color == big
     tc = document_coloring(doc)
     tracemalloc.start()
     try:
