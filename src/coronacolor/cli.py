@@ -199,14 +199,16 @@ def _sweep_pairs(pairs: Iterator[tuple[Graph, Graph]], oracle_max: int, out: Tex
         start = time.perf_counter()
         try:
             result = color_corona(gg, hh)  # asserts max_color <= palette_bound itself
-            bound = result.trace.palette_bound
-            chi = None
-            if oracle_max and gg.n <= oracle_max and hh.n <= oracle_max:
-                chi = chi_prod_exact(result.graph)
-                if chi > bound:
-                    raise AssertionError(f"exact index {chi} exceeds bound {bound}")
         except Exception as exc:  # any failure here falsifies the bound or flags a bug
             raise _Failure(1, f"counterexample: g={g6g} h={g6h}: {exc}") from exc
+        bound = result.trace.palette_bound
+        chi = None
+        if oracle_max and gg.n <= oracle_max and hh.n <= oracle_max:
+            with _computing(budget_code=5):  # a refused or spent search fails as in chi
+                chi = chi_prod_exact(result.graph)
+            if chi > bound:
+                raise _Failure(1, f"counterexample: g={g6g} h={g6h}: "
+                                  f"exact index {chi} exceeds bound {bound}")
         wall_ms = (time.perf_counter() - start) * 1000.0
         record = {
             "g6_g": g6g,

@@ -42,10 +42,12 @@ class Graph:
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Validate an unordered pair list; the graph keeps its canonical edges."""
+    """Validate an unordered pair list; the graph keeps its canonical edges.
+    The checked pairs are sorted as a list, which is linear on canonical input."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     seen: set[tuple[int, int]] = set()
+    kept: list[tuple[int, int]] = []
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"edge ({a},{b}) has an endpoint outside 0..{n - 1}")
@@ -55,7 +57,9 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e}")
         seen.add(e)
-    return Graph(n, tuple(sorted(seen)))
+        kept.append(e)
+    kept.sort()
+    return Graph(n, tuple(kept))
 
 
 def max_degree(g: Graph) -> int:
@@ -196,4 +200,4 @@ def gen_random_subcubic(n: int, seed: int) -> Graph:
         present.add(e)
         deg[a] += 1
         deg[b] += 1
-    return new_graph(n, sorted(present))
+    return new_graph(n, present)

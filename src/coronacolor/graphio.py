@@ -126,14 +126,14 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free.
-    Each edge is checked once, as its line is read; the graph is built from them."""
+    Each edge is checked once, as its line is read, and kept in a list sorted at the end."""
     n = m = None
     seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 2:
                 raise EdgeListParseError(f"line {ln}: expected 'n m' header")
@@ -154,7 +154,7 @@ def parse_edge_list(text: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {ln}: endpoints must be integers") from None
-        if len(seen) >= m:
+        if len(edges) >= m:
             raise EdgeListParseError(f"line {ln}: more than {m} edges")
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"line {ln}: endpoint outside 0..{n - 1}")
@@ -164,11 +164,13 @@ def parse_edge_list(text: str) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"line {ln}: duplicate edge {e}")
         seen.add(e)
+        edges.append(e)
     if n is None:
         raise EdgeListParseError("missing 'n m' header")
-    if len(seen) != m:
-        raise EdgeListParseError(f"expected {m} edges, found {len(seen)}")
-    return Graph(n, tuple(sorted(seen)))
+    if len(edges) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(edges)}")
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -249,14 +251,15 @@ def emit_coloring_json(doc: ColoringDocument) -> str:
 
 def _as_int(payload: dict, key: str) -> int:
     x = payload[key]
-    if isinstance(x, bool) or not isinstance(x, int):
+    if type(x) is not int:  # JSON's true and false are bools, not ints
         raise SchemaViolationError(f"field {key!r} must be an integer")
     return x
 
 
 def parse_coloring_json(text: str) -> ColoringDocument:
     """Parse and validate a coloring document; the inverse of emit_coloring_json.
-    One pass checks the edges' canonical order, which makes them a valid Graph."""
+    One loop checks each edge's shape, range and canonical order, one each color list's
+    values; a document with several faults reports the first fault met."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
@@ -276,27 +279,15 @@ def parse_coloring_json(text: str) -> ColoringDocument:
     if max_color < 1:
         raise SchemaViolationError("max_color must be positive")
     raw_edges = payload["edges"]
-    if not isinstance(raw_edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 or any(not isinstance(x, int) or isinstance(x, bool) for x in e)
-        for e in raw_edges
-    ):
-        raise SchemaViolationError("edges must be a list of [a, b] integer pairs")
-    edges = tuple((e[0], e[1]) for e in raw_edges)
-    # the color lists' lengths tie n to the size of the text, so a document
-    # cannot make the parser build a graph far larger than the text
-    for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
-        col = payload[key]
-        if not isinstance(col, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in col):
-            raise SchemaViolationError(f"{key} must be a list of integers")
-        if len(col) != want:
-            raise SchemaViolationError(f"{key} must have length {want}")
-        for c in col:
-            if not 1 <= c <= max_color:
-                raise ColorOutOfRangeError(f"color {c} outside 1..{max_color}")
-    # canonical order: 0 <= a < b < n in every edge, edges strictly increasing
+    shape = "edges must be a list of [a, b] integer pairs"
+    if type(raw_edges) is not list:
+        raise SchemaViolationError(shape)
+    edges: list[tuple[int, int]] = []
     prev = (-1, -1)
-    for e in edges:
-        a, b = e
+    for p in raw_edges:
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+            raise SchemaViolationError(shape)
+        a, b = e = p[0], p[1]
         if not (0 <= a < n and 0 <= b < n):
             raise SchemaViolationError(
                 f"bad edge list: edge ({a},{b}) has an endpoint outside 0..{n - 1}"
@@ -307,7 +298,21 @@ def parse_coloring_json(text: str) -> ColoringDocument:
             raise SchemaViolationError(f"bad edge list: duplicate edge {e}")
         if a > b or e < prev:
             raise SchemaViolationError("edges must be sorted pairs in canonical order")
+        edges.append(e)
         prev = e
+    # the color lists' lengths tie n to the size of the text, so a document
+    # cannot make the parser build a graph far larger than the text
+    for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
+        col = payload[key]
+        if type(col) is not list:
+            raise SchemaViolationError(f"{key} must be a list of integers")
+        if len(col) != want:
+            raise SchemaViolationError(f"{key} must have length {want}")
+        for c in col:
+            if type(c) is not int:
+                raise SchemaViolationError(f"{key} must be a list of integers")
+            if not 1 <= c <= max_color:
+                raise ColorOutOfRangeError(f"color {c} outside 1..{max_color}")
     raw_map = payload.get("corona_map")
     corona_map = None
     if raw_map is not None:
@@ -318,4 +323,4 @@ def parse_coloring_json(text: str) -> ColoringDocument:
             raise SchemaViolationError("corona_map inconsistent with the vertex count")
         corona_map = CoronaMap(n_g, n_h)
     vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
-    return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)
+    return ColoringDocument(Graph(n, tuple(edges)), TotalColoring(vcol, ecol, max_color), corona_map)

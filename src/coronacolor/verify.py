@@ -148,18 +148,22 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
     return VerifyReport(tuple(violations), products)
 
 
+def _collisions(g: Graph, kind: str, keys: Sequence) -> tuple[Violation, ...]:
+    """A kind violation for every edge whose ends have equal keys, witnessed by
+    the two keys: the one collision step of product and set mode."""
+    return tuple(
+        Violation(kind, (("vertex", a), ("vertex", b)), (keys[a], keys[b]))
+        for a, b in g.edges
+        if keys[a] == keys[b]
+    )
+
+
 def verify_npd(g: Graph, coloring: TotalColoring) -> VerifyReport:
     """Proper-total checks plus distinct closed-star products across every edge."""
     report = verify_proper_total(g, coloring)
     if not report.ok:
         return report
-    prods = report.products
-    violations = [
-        Violation(PRODUCT_COLLISION, (("vertex", a), ("vertex", b)), (prods[a], prods[b]))
-        for a, b in g.edges
-        if prods[a] == prods[b]
-    ]
-    return VerifyReport(tuple(violations), prods)
+    return VerifyReport(_collisions(g, PRODUCT_COLLISION, report.products), report.products)
 
 
 def verify_nvd(g: Graph, coloring: TotalColoring) -> VerifyReport:
@@ -167,38 +171,22 @@ def verify_nvd(g: Graph, coloring: TotalColoring) -> VerifyReport:
     report = verify_proper_total(g, coloring)
     if not report.ok:
         return report
-    inc = _incidence(g)
-    sets = [
-        frozenset((coloring.vertex_colors[v], *(coloring.edge_colors[t] for t in inc[v])))
-        for v in range(g.n)
-    ]
-    violations = [
-        Violation(
-            SET_COLLISION,
-            (("vertex", a), ("vertex", b)),
-            (tuple(sorted(sets[a])), tuple(sorted(sets[b]))),
-        )
-        for a, b in g.edges
-        if sets[a] == sets[b]
-    ]
-    return VerifyReport(tuple(violations), report.products)
+    # the fold of star_products, with set union in place of the product
+    sets = [{c} for c in coloring.vertex_colors]
+    for (a, b), c in zip(g.edges, coloring.edge_colors):
+        sets[a].add(c)
+        sets[b].add(c)
+    keys = [tuple(sorted(colors)) for colors in sets]
+    return VerifyReport(_collisions(g, SET_COLLISION, keys), report.products)
 
 
 def report_to_json(report: VerifyReport) -> str:
     """Render a report as the JSON sibling of the coloring document."""
-
-    def element(el: tuple) -> list:
-        kind, payload = el
-        return [kind, list(payload) if isinstance(payload, tuple) else payload]
-
+    # the tuples go to json.dumps as they are: JSON writes them as arrays
     payload = {
         "ok": report.ok,
         "violations": [
-            {
-                "kind": v.kind,
-                "elements": [element(el) for el in v.elements],
-                "witness": [list(w) if isinstance(w, tuple) else w for w in v.witness],
-            }
+            {"kind": v.kind, "elements": v.elements, "witness": v.witness}
             for v in report.violations
         ],
         "products": {str(v): p for v, p in enumerate(report.products)},

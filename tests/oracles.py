@@ -9,21 +9,33 @@ form, kept to show that the current one visits the same search tree.
 ``reference_parse_graph6`` and ``reference_emit_graph6`` are the graph6 codec
 in its earlier form, one Python step per character, kept to show that the
 byte-level one agrees with it on every output and every error.
+``reference_parse_edge_list`` and ``reference_parse_coloring_json`` are the
+text parsers in their earlier form, which sort a set of edges and walk a
+document's edges and colors more than once: the one-walk parsers must agree
+with them on every graph and every error, and on which documents they accept.
 """
 
 from __future__ import annotations
 
+import json
 from math import isqrt
 
-from coronacolor import Graph, TotalColoring, max_degree, new_graph
+from coronacolor import ColoringDocument, CoronaMap, Graph, TotalColoring, max_degree, new_graph
 from coronacolor.errors import (
     BadCharError,
     BudgetExceededError,
+    ColorOutOfRangeError,
     CoronaColorError,
     DimensionMismatchError,
+    DuplicateEdgeError,
+    EdgeListParseError,
+    EndpointOutOfRangeError,
+    SchemaViolationError,
+    SelfLoopError,
     TrailingGarbageError,
     TruncatedPayloadError,
 )
+from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
 from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _element_order
 
 
@@ -276,3 +288,120 @@ def reference_emit_graph6(g: Graph) -> str:
         group, off = divmod(j * (j - 1) // 2 + i, 6)
         groups[group] |= 1 << (5 - off)
     return "".join(chr(x + 63) for x in vals + groups)
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """Edge-list parsing that keeps the edges in a set and sorts the set."""
+    n = m = None
+    seen: set[tuple[int, int]] = set()
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if n is None:
+            if len(parts) != 2:
+                raise EdgeListParseError(f"line {ln}: expected 'n m' header")
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListParseError(f"line {ln}: header fields must be integers") from None
+            if n < 0 or m < 0:
+                raise EdgeListParseError(f"line {ln}: header fields must be nonnegative")
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise EdgeListParseError(
+                    f"line {ln}: {n} vertices exceed the limit of {MAX_EDGE_LIST_VERTICES}"
+                )
+            continue
+        if len(parts) != 2:
+            raise EdgeListParseError(f"line {ln}: expected 'a b'")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(f"line {ln}: endpoints must be integers") from None
+        if len(seen) >= m:
+            raise EdgeListParseError(f"line {ln}: more than {m} edges")
+        if not (0 <= a < n and 0 <= b < n):
+            raise EndpointOutOfRangeError(f"line {ln}: endpoint outside 0..{n - 1}")
+        if a == b:
+            raise SelfLoopError(f"line {ln}: self-loop at vertex {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise DuplicateEdgeError(f"line {ln}: duplicate edge {e}")
+        seen.add(e)
+    if n is None:
+        raise EdgeListParseError("missing 'n m' header")
+    if len(seen) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(seen)}")
+    return Graph(n, tuple(sorted(seen)))
+
+
+def _reference_as_int(payload: dict, key: str) -> int:
+    x = payload[key]
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaViolationError(f"field {key!r} must be an integer")
+    return x
+
+
+def reference_parse_coloring_json(text: str) -> ColoringDocument:
+    """Coloring-document parsing that checks the edges' shape, the colors and
+    the edges' order in separate walks."""
+    try:
+        payload = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaViolationError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaViolationError("top level must be an object")
+    required = {"n", "edges", "vertex_colors", "edge_colors", "max_color"}
+    keys = set(payload)
+    if not required <= keys or not keys <= required | {"corona_map"}:
+        raise SchemaViolationError(
+            f"fields must be {sorted(required)} plus optional 'corona_map'"
+        )
+    n = _reference_as_int(payload, "n")
+    if n < 0:
+        raise SchemaViolationError("n must be nonnegative")
+    max_color = _reference_as_int(payload, "max_color")
+    if max_color < 1:
+        raise SchemaViolationError("max_color must be positive")
+    raw_edges = payload["edges"]
+    if not isinstance(raw_edges, list) or any(
+        not isinstance(e, list) or len(e) != 2 or any(not isinstance(x, int) or isinstance(x, bool) for x in e)
+        for e in raw_edges
+    ):
+        raise SchemaViolationError("edges must be a list of [a, b] integer pairs")
+    edges = tuple((e[0], e[1]) for e in raw_edges)
+    for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
+        col = payload[key]
+        if not isinstance(col, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in col):
+            raise SchemaViolationError(f"{key} must be a list of integers")
+        if len(col) != want:
+            raise SchemaViolationError(f"{key} must have length {want}")
+        for c in col:
+            if not 1 <= c <= max_color:
+                raise ColorOutOfRangeError(f"color {c} outside 1..{max_color}")
+    prev = (-1, -1)
+    for e in edges:
+        a, b = e
+        if not (0 <= a < n and 0 <= b < n):
+            raise SchemaViolationError(
+                f"bad edge list: edge ({a},{b}) has an endpoint outside 0..{n - 1}"
+            )
+        if a == b:
+            raise SchemaViolationError(f"bad edge list: self-loop at vertex {a}")
+        if e == prev:
+            raise SchemaViolationError(f"bad edge list: duplicate edge {e}")
+        if a > b or e < prev:
+            raise SchemaViolationError("edges must be sorted pairs in canonical order")
+        prev = e
+    raw_map = payload.get("corona_map")
+    corona_map = None
+    if raw_map is not None:
+        if not isinstance(raw_map, dict) or set(raw_map) != {"n_g", "n_h"}:
+            raise SchemaViolationError("corona_map must be {'n_g': ..., 'n_h': ...}")
+        n_g, n_h = _reference_as_int(raw_map, "n_g"), _reference_as_int(raw_map, "n_h")
+        if n_g < 1 or n_h < 0 or n_g * (1 + n_h) != n:
+            raise SchemaViolationError("corona_map inconsistent with the vertex count")
+        corona_map = CoronaMap(n_g, n_h)
+    vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
+    return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)

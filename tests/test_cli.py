@@ -363,6 +363,35 @@ def test_sweep_streams_records_before_a_counterexample(tmp_path, monkeypatch, ca
     ]
 
 
+def test_sweep_oracle_failures_exit_as_chi_does(tmp_path, monkeypatch, capsys):
+    # the oracle refusing its search set-up (ValueError) or running out of
+    # budget is no counterexample: it exits 2 or 5, as chi does, on one line
+    from coronacolor import cli
+    from coronacolor.errors import BudgetExceededError
+
+    real = cli.chi_prod_exact
+    for error, code, prefix in (
+        (ValueError("search set-up too large"), 2, "bad instance: "),
+        (BudgetExceededError("search budget spent"), 5, "budget exceeded: "),
+    ):
+        calls = []
+
+        def failing_third(g, *args):
+            calls.append(g)
+            if len(calls) == 3:
+                raise error
+            return real(g, *args)
+
+        monkeypatch.setattr(cli, "chi_prod_exact", failing_third)
+        log = tmp_path / f"log{code}.jsonl"
+        args = ["sweep", "--ng-max", "2", "--nh-max", "2", "--oracle-max", "2", "--log", str(log)]
+        assert main(args) == code
+        assert_one_line(capsys.readouterr().err, prefix)
+        # the records written before the failure stay in the log
+        records = [json.loads(x) for x in log.read_text().splitlines()]
+        assert [r["chi_prod"] for r in records] == [real(g) for g in calls[:2]]
+
+
 def test_random_sweep_draws_each_pair_as_it_reaches_it(tmp_path, monkeypatch, capsys):
     from coronacolor import cli
 

@@ -1,6 +1,7 @@
 """Property tests of the parsers: any text fails only with a typed error,
-graph6 round trips agree with networkx as an independent codec, and the graph6
-codec agrees with its per-character reference on every output and error."""
+graph6 round trips agree with networkx as an independent codec, the graph6
+codec agrees with its per-character reference on every output and error, and
+the edge-list and coloring-document parsers agree with their earlier forms."""
 
 import json
 import random
@@ -9,9 +10,21 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronacolor import emit_graph6, new_graph, parse_coloring_json, parse_edge_list, parse_graph6
+from coronacolor import (
+    ColoringDocument,
+    emit_graph6,
+    new_graph,
+    parse_coloring_json,
+    parse_edge_list,
+    parse_graph6,
+)
 from coronacolor.errors import CoronaColorError
-from oracles import reference_emit_graph6, reference_parse_graph6
+from oracles import (
+    reference_emit_graph6,
+    reference_parse_coloring_json,
+    reference_parse_edge_list,
+    reference_parse_graph6,
+)
 
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -150,3 +163,92 @@ def test_emit_graph6_matches_reference(n, density, seed):
     p = density * density
     g = new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
     assert emit_graph6(g) == reference_emit_graph6(g)
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """An "n m" header, then a graph's edges in any order and orientation, at
+    times with a self-loop, an endpoint out of range or an edge given twice,
+    padded with whitespace that str.split drops."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    canonical = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(canonical), unique=True)) if canonical else []
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(edges))]
+    fault = draw(st.sampled_from([None, (0, 0), (0, n)] + pairs[-1:]))
+    if fault is not None:
+        pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), fault)
+    m = len(pairs) + draw(st.sampled_from([0, 1, -1]))
+    pad = st.sampled_from(["", " ", "\t", "\u2003", " # note"])
+    lines = [f"{n} {m}"] + [f"{draw(pad)}{a} {b}{draw(pad)}" for a, b in pairs]
+    return "\n".join(lines)
+
+
+@FUZZ
+@given(st.one_of(st.text(), st.lists(EDGE_LIST_LINE, max_size=6).map("\n".join), shuffled_edge_lists()))
+def test_parse_edge_list_matches_reference(text):
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+
+# a value put in place of an edge or a color: in range or not, bools, floats,
+# pairs in either order and lists of other lengths
+FAULT = st.one_of(
+    st.lists(TINY_INT, min_size=2, max_size=2),
+    TINY_INT,
+    st.booleans(),
+    st.just(3.0),
+    st.lists(TINY_INT | st.booleans(), max_size=3),
+)
+
+
+@st.composite
+def faulty_documents(draw):
+    """A valid document, then up to two edges or colors replaced by FAULT."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = [[a, b] for a in range(n) for b in range(a + 1, n)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique_by=tuple))) if pairs else []
+    mx = draw(st.integers(min_value=1, max_value=6))
+    color = st.integers(min_value=1, max_value=mx)
+    doc = {
+        "n": n,
+        "edges": edges,
+        "vertex_colors": draw(st.lists(color, min_size=n, max_size=n)),
+        "edge_colors": draw(st.lists(color, min_size=len(edges), max_size=len(edges))),
+        "max_color": mx,
+    }
+    if n and draw(st.booleans()):
+        doc["corona_map"] = {"n_g": 1, "n_h": n - 1}
+    for _ in range(draw(st.sampled_from([1, 2, 0]))):
+        values = doc[draw(st.sampled_from(["edges", "vertex_colors", "edge_colors"]))]
+        if values:
+            values[draw(st.integers(min_value=0, max_value=len(values) - 1))] = draw(FAULT)
+    return doc
+
+
+def assert_same_documents_accepted(text):
+    # a document with several faults may report another one first; which
+    # documents are accepted, and as what, must not change
+    ours = parse_outcome(parse_coloring_json, text)
+    theirs = parse_outcome(reference_parse_coloring_json, text)
+    assert isinstance(ours, ColoringDocument) == isinstance(theirs, ColoringDocument)
+    if isinstance(ours, ColoringDocument):
+        assert ours == theirs
+
+
+@FUZZ
+@given(st.one_of(st.text(), JSON_VALUE.map(json.dumps)))
+def test_parse_coloring_json_accepts_what_the_reference_accepts(text):
+    assert_same_documents_accepted(text)
+
+
+@FUZZ
+@given(JSON_DOCUMENT, st.sampled_from([None, "n", "edges", "vertex_colors", "max_color"]), JSON_VALUE)
+def test_parse_coloring_json_documents_match_reference(doc, field, junk):
+    if field is not None:
+        doc[field] = junk
+    assert_same_documents_accepted(json.dumps(doc))
+
+
+@FUZZ
+@given(faulty_documents())
+def test_parse_coloring_json_faulty_documents_match_reference(doc):
+    assert_same_documents_accepted(json.dumps(doc))

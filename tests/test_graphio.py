@@ -218,6 +218,15 @@ def test_coloring_json_rejects_bad_documents():
         with pytest.raises(SchemaViolationError, match=why):
             parse_coloring_json(three % edges)
     assert parse_coloring_json(three % "[[0, 1], [1, 2]]").graph.edges == ((0, 1), (1, 2))
+    # JSON's true is a bool, not the integer 1, and 3.0 is a float, wherever they stand
+    two = '{"n": 2, "edges": %s, "vertex_colors": %s, "edge_colors": %s, "max_color": 3}'
+    for fields in (
+        ("[[true, 1]]", "[1, 2]", "[3]"),
+        ("[[0, 1]]", "[true, 2]", "[3]"),
+        ("[[0, 1]]", "[1, 2]", "[3.0]"),
+    ):
+        with pytest.raises(SchemaViolationError, match="integer"):
+            parse_coloring_json(two % fields)
 
 
 def test_coloring_json_layout():
