@@ -124,13 +124,23 @@ def emit_graph6(g: Graph) -> str:
     return buf.translate(_TO_GRAPH6).decode("ascii")
 
 
+def _lines(text: str):
+    """``text.splitlines()`` about 1 MiB at a time, each piece cut just after a newline
+    (which always ends a line), so that no list of all the lines is held."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + (1 << 20)) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free.
     Each edge is checked once, as its line is read, and kept in a list sorted at the end."""
     n = m = None
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue

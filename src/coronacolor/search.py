@@ -8,7 +8,8 @@ Python integers, so distinction checks never overflow or round.
 
 ``npdtc_search`` tries every color at every element; ``chi_prod_exact``
 searches only colorings sorted within each class of twin vertices, which
-keeps its exhausted searches proofs of absence.
+keeps its exhausted searches proofs of absence.  Both order the elements once,
+by (score, conflict degree) cells that also give each depth its forward list.
 """
 
 from __future__ import annotations
@@ -40,24 +41,16 @@ class TotalColoring:
 
 def _conflict_lists(g: Graph) -> list[list[int]]:
     """Per element (vertices, then edges as n + edge id), the elements it must differ from."""
-    n = g.n
-    conf: list[list[int]] = [[] for _ in range(n + len(g.edges))]
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for t, (a, b) in enumerate(g.edges):
-        e = n + t
-        inc[a].append(e)
-        inc[b].append(e)
-        conf[e].append(a)
-        conf[e].append(b)
-        conf[a].append(e)
-        conf[b].append(e)
-    for v in range(n):
-        conf[v].extend(g.adj[v])
-        ie = inc[v]
-        for x in range(len(ie)):
-            for y in range(x + 1, len(ie)):
-                conf[ie[x]].append(ie[y])
-                conf[ie[y]].append(ie[x])
+    conf = [list(nb) for nb in g.adj]
+    first = list(map(len, conf))  # v's edges follow its neighbors in conf[v]
+    for e, (a, b) in enumerate(g.edges, g.n):
+        ca, cb = conf[a], conf[b]
+        near = ca[first[a]:] + cb[first[b]:]
+        for f in near:
+            conf[f].append(e)
+        conf.append([a, b, *near])
+        ca.append(e)
+        cb.append(e)
     return conf
 
 
@@ -67,46 +60,63 @@ def _setup_slots(deg: list[int], k: int) -> int:
 
 
 def _element_order(conf: list[list[int]]) -> list[int]:
-    """Most-constrained-first order of the elements, in O(T log T).
+    """Most-constrained-first order of the elements, as ``_order_and_ahead`` finds it."""
+    return _order_and_ahead(conf)[0]
 
-    The next element is the unchosen one with the largest key (score,
+
+def _order_and_ahead(conf: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The element order, and per depth the conflicts ordered after that depth's element.
+
+    The next element is the unordered one with the largest key (score,
     conflict degree, -id), where an element's score counts its conflicts
-    against elements already ordered; so ties break toward more conflicts,
-    then toward the smaller id.  The order depends on the graph alone, never
-    on colors, which is what lets ``npdtc_search`` fix each depth's forward
-    conflicts once.
+    already ordered.  The order depends on the graph alone, so the conflicts
+    still unordered when an element is ordered are those its color bans.
 
-    A lazy min-heap holds each key packed into one int,
-    ``-((score * D + degree) * S) + id`` with D (``span``) the largest
-    conflict degree plus 1 and S (``stride``) = T + 1.  Since 0 <= degree < D and 0 <= id < S, the int
-    orders exactly like the tuple (-score, -degree, id), and ``key % S``
-    gives the id back; comparing ints is cheaper than comparing tuples.  A
-    score increase pushes a fresh entry and leaves the old one in place.
-    Scores only grow, so an element's entry with its current score outranks
-    its stale ones and is popped first; a popped entry of an element already
-    ordered is stale and dropped.  The order therefore equals a full rescan
-    for the maximum at every pick.
+    The pair (score, degree) is the cell ``score * R + rank``, with rank the
+    degree's place among the R distinct degrees, so cells sort as the pairs
+    do.  Each cell is a lazy min-heap of ids, and an element starts in cell
+    rank, filled in ascending ids.  A pointer walks down from the highest
+    cell that may hold an element; a score increase pushes the id R cells
+    up.  Scores only grow, so an element never re-enters a cell it left: a
+    popped id whose element is ordered or in another cell is stale.
+
+    The table has (D + 1) * R lists for the largest degree D.  Both D and R
+    are O(sqrt(S)) for S conflict slots, since the edges at a vertex
+    conflict pairwise, so ``_setup_slots`` bounds the set-up; cells by
+    degree itself would be (D + 1)**2 lists, 40 MiB on a 400-leaf star.
     """
-    total = len(conf)
-    span = max(map(len, conf), default=0) + 1
-    stride = total + 1
-    score = [0] * total
-    chosen = [False] * total
-    heap = [e - len(conf[e]) * stride for e in range(total)]
-    heapq.heapify(heap)
+    rank = {d: r for r, d in enumerate(sorted(set(map(len, conf))))}
+    width = len(rank)
+    cell = [rank[len(c)] for c in conf]  # the element's cell, -1 once ordered
+    cells: list[list[int]] = [[] for _ in range((max(rank, default=0) + 1) * width)]
+    for e, c in enumerate(cell):
+        cells[c].append(e)
     push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
-    while heap:
-        e = pop(heap) % stride
-        if chosen[e]:
+    ahead: list[list[int]] = []
+    hi = width - 1
+    while hi >= 0:
+        ids = cells[hi]
+        if not ids:
+            hi -= 1
             continue
-        chosen[e] = True
+        e = pop(ids)
+        if cell[e] != hi:
+            continue
+        cell[e] = -1
         order.append(e)
+        fwd = []
         for s in conf[e]:
-            if not chosen[s]:
-                score[s] += 1
-                push(heap, s - (score[s] * span + len(conf[s])) * stride)
-    return order
+            c = cell[s]
+            if c >= 0:
+                fwd.append(s)
+                c += width
+                cell[s] = c
+                push(cells[c], s)
+                if c > hi:
+                    hi = c
+        ahead.append(fwd)
+    return order, ahead
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:
@@ -146,11 +156,11 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
     """The backtracking of ``npdtc_search``; with twins, capped within twin classes.
 
     The order is static, so at depth d exactly order[:d] is colored, and the
-    uncolored conflicts of order[d] are exactly those placed after it.  That
-    forward list is built on the first visit to d and then serves every color
-    tried there, both to ban the color and to lift the ban again.  A depth is
-    re-entered with its element still colored, and the color is taken off
-    before the next one is tried.
+    uncolored conflicts of order[d], its forward list, are those placed after
+    it; the list serves every color tried at d, to ban it and lift the ban.
+    ``banned[e][c]`` counts e's colored conflicts that hold c, and
+    ``banned[e][0]`` the colors left to e.  A depth is re-entered with its
+    element still colored, and the color is taken off before the next one.
 
     ``ceiling[d]`` is the element whose color caps order[d]'s, or ``total``,
     the slot of the color array that holds k.  With ``twins`` a vertex's
@@ -173,10 +183,8 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
     if (slots := _setup_slots(deg, k)) > MAX_SEARCH_SLOTS:
         raise ValueError(f"search set-up of {slots} list slots exceeds {MAX_SEARCH_SLOTS}")
 
-    conf = _conflict_lists(g)
-    owners: list[tuple[int, ...]] = [(v,) for v in range(n)]
-    owners.extend(g.edges)
-    order = _element_order(conf)
+    order, ahead = _order_and_ahead(_conflict_lists(g))
+    owners = [(v,) for v in range(n)] + list(g.edges)
     ceiling = [total] * total
     if twins:
         depth_of = [0] * total
@@ -187,14 +195,12 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
             for prev, v in zip(cls, cls[1:]):
                 ceiling[depth_of[v]] = prev
 
-    color = [0] * total
-    color.append(k)  # color[total]: the ceiling of an uncapped element
-    banned = [[0] * (k + 1) for _ in range(total)]
-    avail = [k] * total
+    color = [0] * total + [k]  # color[total]: the ceiling of an uncapped element
+    row = [k] + [0] * k
+    banned = [row[:] for _ in range(total)]
     star_left = [deg[v] + 1 for v in range(n)]
     sig = [1] * n
     adjacency = g.adj
-    ahead: list[list[int] | None] = [None] * total
     last = [0] * total
     nodes = 0
     depth = 0
@@ -213,9 +219,7 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
                 bs = banned[s]
                 bs[c] -= 1
                 if bs[c] == 0:
-                    avail[s] += 1
-        elif fwd is None:
-            fwd = ahead[depth] = [s for s in conf[e] if color[s] == 0]
+                    bs[0] += 1
         be = banned[e]
         top = color[ceiling[depth]]
         c += 1
@@ -236,8 +240,8 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
             bs = banned[s]
             bs[c] += 1
             if bs[c] == 1:
-                avail[s] -= 1
-                if avail[s] == 0:
+                bs[0] -= 1
+                if bs[0] == 0:
                     dead = True
         color[e] = c
         for v in owners[e]:

@@ -4,7 +4,7 @@ All products are exact Python integers and reports are exhaustive: every
 clash and every collision is listed, not just the first.  A coloring is
 first checked in one pass over the vertices and edges, in O(n + m) time and
 memory whatever the color values; the report is built only when that pass
-finds a violation or the colors are too far apart for its flags.
+finds a violation or a color is too large for its per-vertex bitmasks.
 
 ``star_products`` is the one closed-star fold of the package: the exhaustive
 report takes its products from it, and the construction its edge-color
@@ -29,6 +29,7 @@ VERTEX_EDGE_CLASH = "VertexEdgeClash"
 PRODUCT_COLLISION = "ProductCollision"
 SET_COLLISION = "SetCollision"
 COLOR_OUT_OF_RANGE = "ColorOutOfRange"
+MAX_MASK_COLOR = 511  # the largest color the one-pass check keeps in a star's bitmask
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,26 @@ def star_products(start: Sequence[int], g: Graph, colors: Sequence[int]) -> list
 def _clean_products(g: Graph, coloring: TotalColoring) -> list[int] | None:
     """Closed-star products of a proper total coloring within 1..max_color, or None.
 
-    Color c in the star of v is the key c * n + v, unique to (c, v), and a
-    key flagged twice is a vertex-edge or edge-edge clash.  Keys are flagged
-    in a bytearray, which is built only when it takes at most 64 bytes per
-    key, so memory is O(n + m); colors too far apart for that return None.
+    Each vertex keeps the bitmask of the colors in its star so far, and an
+    edge color already in either end's mask is a vertex-edge or edge-edge
+    clash.  Colors above MAX_MASK_COLOR return None, so a mask takes at most
+    64 bytes and memory is O(n + m); the exhaustive report takes those.
     """
-    n, vcol, ecol = g.n, coloring.vertex_colors, coloring.edge_colors
+    vcol, ecol = coloring.vertex_colors, coloring.edge_colors
     top = max(max(vcol, default=1), max(ecol, default=1))
-    if min(min(vcol, default=1), min(ecol, default=1)) < 1 or top > coloring.max_color:
+    if min(min(vcol, default=1), min(ecol, default=1)) < 1:
         return None
-    if (top + 1) * n > 64 * (n + 2 * len(ecol)):
+    if top > min(coloring.max_color, MAX_MASK_COLOR):
         return None
-    seen = bytearray((top + 1) * n)
-    for v, c in enumerate(vcol):
-        seen[c * n + v] = 1
+    bit = [1 << c for c in range(top + 1)]
+    seen = [bit[c] for c in vcol]
     prods = list(vcol)
     for (a, b), c in zip(g.edges, ecol):
-        ka, kb = c * n + a, c * n + b
-        if vcol[a] == vcol[b] or seen[ka] or seen[kb]:
+        x = bit[c]
+        if vcol[a] == vcol[b] or seen[a] & x or seen[b] & x:
             return None
-        seen[ka] = seen[kb] = 1
+        seen[a] |= x
+        seen[b] |= x
         prods[a] *= c
         prods[b] *= c
     return prods

@@ -136,6 +136,21 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list(f"{MAX_EDGE_LIST_VERTICES + 1} 0\n")
 
 
+def test_edge_list_errors_past_the_first_piece_keep_their_line_number():
+    # the text is split into lines about 1 MiB at a time, each piece cut just
+    # after a newline; a comment line that long, CRLF ends and a fault in the
+    # second piece must not move any line number
+    edges = [(v, v + 1) for v in range(0, 200_000, 2)]
+    lines = [f"{MAX_EDGE_LIST_VERTICES} {len(edges) + 1}", "#" * (1 << 20)]
+    lines += [f"{a} {b}" for a, b in edges]
+    text = "\r\n".join(lines) + "\r\n7 7\r\n"
+    assert len(text) > 2 << 20
+    with pytest.raises(SelfLoopError, match=f"line {len(lines) + 1}:"):
+        parse_edge_list(text)
+    g = parse_edge_list(text.replace("7 7", "7 9"))
+    assert len(g.edges) == len(edges) + 1
+
+
 def test_emit_dot():
     g = new_graph(2, [(0, 1)])
     dotted = emit_dot(coloring_document(g, TotalColoring((1, 2), (3,), 3)))

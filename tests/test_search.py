@@ -1,5 +1,7 @@
+import tracemalloc
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from coronacolor import (
@@ -89,6 +91,35 @@ def test_element_order_matches_reference_scan():
     for g in graphs:
         conf = _conflict_lists(g)
         assert _element_order(conf) == reference_element_order(conf), g.edges
+
+
+def test_element_order_matches_reference_scan_beyond_subcubic():
+    # chi takes any graph: every graph on up to 7 vertices spreads its
+    # conflict degrees over more cells, where a score increase that moved an
+    # element anything but R cells up would break a tie of (score, degree)
+    # pairs by id on a few of them
+    for nxg in nx.graph_atlas_g()[1:]:
+        g = new_graph(nxg.number_of_nodes(), list(nxg.edges()))
+        conf = _conflict_lists(g)
+        assert _element_order(conf) == reference_element_order(conf), g.edges
+
+
+def test_element_order_setup_memory_on_a_star():
+    # a hub of degree 400 has conflict degree 800: cells indexed by the raw
+    # (score, degree) pair would be 801**2 empty lists (42.1 MiB of peak);
+    # ranked among the 3 distinct degrees they are 801 * 3 (2.9 MiB, with the
+    # conflict lists).  One heap of packed-int keys peaked at 4.7 MiB.
+    # Measured under Python 3.11.
+    star = new_graph(401, [(0, v) for v in range(1, 401)])
+    assert star.adj
+    tracemalloc.start()
+    try:
+        order = _element_order(_conflict_lists(star))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order[0] == 0 and sorted(order) == list(range(801))
+    assert peak < 3.75 * 2**20
 
 
 def test_search_visits_the_reference_tree():
