@@ -21,6 +21,7 @@ from .graph import (
     CoronaMap,
     GVertex,
     Graph,
+    TotalColoring,
     connected_components,
     corona,
     edge_index,
@@ -47,7 +48,6 @@ from .graphio import (
 from .search import (
     BASE_BUDGET,
     DEFAULT_BUDGET,
-    TotalColoring,
     base_coloring,
     chi_prod_exact,
     npdtc_search,

@@ -33,7 +33,7 @@ from .graphio import (
     parse_edge_list,
     parse_graph6,
 )
-from .search import DEFAULT_BUDGET, chi_prod_exact, npdtc_search
+from .search import DEFAULT_BUDGET, chi_prod_exact
 from .verify import report_to_json, verify_npd, verify_nvd
 
 T = TypeVar("T")
@@ -135,11 +135,8 @@ def cmd_chi(args: argparse.Namespace) -> int:
         raise _Failure(2, f"bad instance: --budget {args.budget} must be at least 1")
     g = _read_graph(args.graph, args.format)
     with _computing(budget_code=5):
-        value = chi_prod_exact(g, args.budget)
-        witness = npdtc_search(g, value, args.budget)
-    _write(None, f"{value}\n")
-    if witness is None:
-        raise _Failure(5, "internal error: witness search failed at the computed value")
+        witness = chi_prod_exact(g, args.budget)
+    _write(None, f"{witness.max_color}\n")
     _write(args.out, emit_coloring_json(coloring_document(g, witness)))
     return 0
 
@@ -205,7 +202,7 @@ def _sweep_pairs(pairs: Iterator[tuple[Graph, Graph]], oracle_max: int, out: Tex
         chi = None
         if oracle_max and gg.n <= oracle_max and hh.n <= oracle_max:
             with _computing(budget_code=5):  # a refused or spent search fails as in chi
-                chi = chi_prod_exact(result.graph)
+                chi = chi_prod_exact(result.graph).max_color
             if chi > bound:
                 raise _Failure(1, f"counterexample: g={g6g} h={g6h}: "
                                   f"exact index {chi} exceeds bound {bound}")

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .edgecolor import edge_colors_at, vizing_color
-from .graph import (CoronaMap, Graph, connected_components, corona, max_degree,
+from .graph import (CoronaMap, Graph, TotalColoring, connected_components, corona, max_degree,
                     require_subcubic)
 from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches these
-from .search import TotalColoring, base_coloring, npdtc_search  # npdtc_search likewise
+from .search import base_coloring, npdtc_search  # npdtc_search likewise
 from .verify import star_products, verify_npd
 
 CASE_1_1 = "Case1_1"
@@ -44,17 +44,21 @@ MIXED = "Mixed"
 class ConstructionTrace:
     """How a corona coloring was assembled.
 
-    case_tag summarizes the whole run (Mixed when components differ);
-    component_cases pins the tag per component of the first factor.  sigma
-    lists the second factor's vertices by nondecreasing edge-color product,
-    ties broken by vertex index.  The position-1 color of copy j (beta or
-    alpha_j) is the coloring's color of u^j_{sigma[0]+1}.
+    component_cases pins the tag per component of the first factor, and
+    case_tag is their one tag, or Mixed.  sigma lists the second factor's
+    vertices by nondecreasing edge-color product, ties broken by vertex
+    index.  The position-1 color of copy j (beta or alpha_j) is the
+    coloring's color of u^j_{sigma[0]+1}.
     """
 
-    case_tag: str
     sigma: tuple[int, ...]
     component_cases: tuple[tuple[tuple[int, ...], str], ...]
     palette_bound: int
+
+    @property
+    def case_tag(self) -> str:
+        tags = {tag for _, tag in self.component_cases}
+        return tags.pop() if len(tags) == 1 else MIXED
 
 
 class ColorResult(NamedTuple):
@@ -196,11 +200,5 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     if coloring.max_color > bound:
         raise AssertionError(f"{coloring.max_color} colors exceed bound {bound}")
     cases = [(comp, case if len(comp) > 1 else FALLBACK) for comp in connected_components(g)]
-    tags = {tag for _, tag in cases}
-    trace = ConstructionTrace(
-        case_tag=tags.pop() if len(tags) == 1 else MIXED,
-        sigma=sigma,
-        component_cases=tuple(cases),
-        palette_bound=bound,
-    )
+    trace = ConstructionTrace(sigma, tuple(cases), bound)
     return ColorResult(cg, cmap, coloring, trace)

@@ -1,4 +1,4 @@
-"""Simple undirected graphs, corona products and degree-bounded generation.
+"""Simple undirected graphs, total colorings, corona products and bounded generation.
 
 Vertices are dense integers 0..n-1.  Edges are unordered pairs stored as
 sorted tuples in lexicographic order, which fixes the canonical edge order
@@ -39,6 +39,15 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
+
+
+@dataclass(frozen=True)
+class TotalColoring:
+    """Colors per vertex and per canonical edge, all in 1..max_color."""
+
+    vertex_colors: tuple[int, ...]
+    edge_colors: tuple[int, ...]
+    max_color: int
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
@@ -106,12 +115,13 @@ def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]
     """Induced subgraph plus the sorted original vertices (new id = position).
 
     Reads only the kept vertices' adjacency: O(edges kept) once g.adj
-    exists, not O(all edges of g), which the first read of g.adj costs.
+    exists, not O(all edges of g).  The kept vertices and each one's
+    neighbours ascend, so the relabeled pairs are canonical as built.
     """
     verts = tuple(sorted(set(vertices)))
     back = {v: i for i, v in enumerate(verts)}
     edges = [(back[a], back[b]) for a in verts for b in g.adj[a] if a < b and b in back]
-    return new_graph(len(verts), edges), verts
+    return Graph(len(verts), tuple(edges)), verts
 
 
 class GVertex(NamedTuple):

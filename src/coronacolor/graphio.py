@@ -17,8 +17,7 @@ from .errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
-from .graph import CoronaMap, Graph, GVertex
-from .search import TotalColoring
+from .graph import CoronaMap, Graph, GVertex, TotalColoring
 from .verify import check_cover
 
 GRAPH6_HEADER = ">>graph6<<"

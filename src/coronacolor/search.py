@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .graph import Graph, connected_components, max_degree, require_subcubic, subgraph
+from .graph import Graph, TotalColoring, connected_components, max_degree, require_subcubic, subgraph
 
 DEFAULT_BUDGET = 5_000_000
 BASE_BUDGET = 50_000_000  # node budget of base_coloring's search, read at call time
@@ -28,15 +27,6 @@ BASE_BUDGET = 50_000_000  # node budget of base_coloring's search, read at call 
 # this many list slots (about 1 GiB) it is refused.  A subcubic graph within
 # the 2**20-vertex cap needs at most 2.5 * 2**20 * 7 + 15 * 2**20 with k <= 6.
 MAX_SEARCH_SLOTS = 1 << 26
-
-
-@dataclass(frozen=True)
-class TotalColoring:
-    """Colors per vertex and per canonical edge, all in 1..max_color."""
-
-    vertex_colors: tuple[int, ...]
-    edge_colors: tuple[int, ...]
-    max_color: int
 
 
 def _conflict_lists(g: Graph) -> list[list[int]]:
@@ -257,12 +247,13 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
             depth += 1
 
 
-def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest k admitting a neighbor-product-distinguishing proper total [k]-coloring.
+def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> TotalColoring:
+    """A neighbor-product-distinguishing proper total coloring of g in the fewest colors.
 
-    Works per connected component (products are local, so the answer is the
-    maximum over components) and increments k from the forced lower bound
-    max_degree+1.  Each individual search attempt gets the full budget.
+    Its max_color is chi''_prod(g), the smallest k admitting one; products
+    are local, so each component increments k from max_degree+1 and keeps
+    the coloring its last search found, which uses that k.  An isolated
+    vertex takes color 1.  Each search attempt gets the full budget.
 
     The search is exhaustive up to swaps of twin vertices: a vertex's color
     is capped at that of the previous vertex of its twin class in the search
@@ -274,17 +265,22 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """
     if g.n == 0:
         raise ValueError("need at least one vertex")
+    vcol = [1] * g.n
+    ecol = dict.fromkeys(g.edges, 0)  # values in canonical edge order
     best = 1
     for comp in connected_components(g):
         if len(comp) == 1:
             continue
-        sub, _ = subgraph(g, comp)
+        sub, verts = subgraph(g, comp)
         k = max_degree(sub) + 1
-        while _search(sub, k, budget, twins=True) is None:
+        while (tc := _search(sub, k, budget, twins=True)) is None:
             k += 1
-        if k > best:
-            best = k
-    return best
+        for v, c in zip(verts, tc.vertex_colors):
+            vcol[v] = c
+        for (a, b), c in zip(sub.edges, tc.edge_colors):
+            ecol[verts[a], verts[b]] = c
+        best = max(best, k)
+    return TotalColoring(tuple(vcol), tuple(ecol.values()), best)
 
 
 def _instance_summary(g: Graph) -> str:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .graph import Graph
-from .search import TotalColoring
+from .graph import Graph, TotalColoring
 
 VERTEX_VERTEX_CLASH = "VertexVertexClash"
 EDGE_EDGE_CLASH = "EdgeEdgeClash"

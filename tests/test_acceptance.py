@@ -75,7 +75,7 @@ def test_criterion_2_oracle_cross_check():
         for h in hs:
             cg, _ = corona(g, h)
             bound = max_degree(cg) + 3
-            chi = chi_prod_exact(cg)
+            chi = chi_prod_exact(cg).max_color
             assert chi <= bound, (emit_graph6(g), emit_graph6(h), chi, bound)
             # the construction is a witness, so the exact index can't exceed it
             res = color_corona(g, h)
@@ -86,7 +86,7 @@ def test_criterion_2_oracle_cross_check():
 
 
 def test_criterion_3_base_index():
-    value = chi_prod_exact(k(2))
+    value = chi_prod_exact(k(2)).max_color
     report(3, value == 3, f"exact distinguishing total index of a single edge = {value}")
 
 

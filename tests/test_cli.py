@@ -162,16 +162,24 @@ def test_chi_budget_exit(tmp_path, capsys):
     assert_one_line(capsys.readouterr().err, "budget exceeded:")
 
 
-def test_chi_internal_error_exit(tmp_path, monkeypatch, capsys):
-    from coronacolor import cli
+def test_chi_searches_once_per_component_and_palette(tmp_path, monkeypatch, capsys):
+    # chi prints and writes the coloring the oracle proved, searching nothing more
+    from coronacolor import search
 
-    # a witness search that finds nothing at the value the oracle computed
-    monkeypatch.setattr(cli, "npdtc_search", lambda g, k, budget: None)
+    palettes = []
+    real = search._search
+
+    def counting(g, k, *args, **kwargs):
+        palettes.append(k)
+        return real(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_search", counting)
+    search.chi_prod_exact(k(2))
+    assert palettes == [2, 3]
     gp = write_g6(tmp_path / "g.g6", k(2))
-    assert main(["chi", "--graph", gp]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == "3\n"
-    assert_one_line(captured.err, "internal error:")
+    assert main(["chi", "--graph", gp, "--out", str(tmp_path / "w.json")]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert palettes == [2, 3] * 2
 
 
 def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
@@ -389,7 +397,7 @@ def test_sweep_oracle_failures_exit_as_chi_does(tmp_path, monkeypatch, capsys):
         assert_one_line(capsys.readouterr().err, prefix)
         # the records written before the failure stay in the log
         records = [json.loads(x) for x in log.read_text().splitlines()]
-        assert [r["chi_prod"] for r in records] == [real(g) for g in calls[:2]]
+        assert [r["chi_prod"] for r in records] == [real(g).max_color for g in calls[:2]]
 
 
 def test_random_sweep_draws_each_pair_as_it_reaches_it(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -287,6 +288,22 @@ def test_rejects_non_subcubic():
         color_corona(k(2), star)
 
 
+def output_digest(pairs, traces=None):
+    """SHA-256 over color_corona's record on each (g, h) of pairs, and the
+    pair count; with a traces list, each pair's trace is appended to it."""
+    digest = hashlib.sha256()
+    count = 0
+    for g, h in pairs:
+        res = color_corona(g, h)
+        c, t = res.coloring, res.trace
+        record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
+        digest.update(repr(record).encode() + b"\n")
+        count += 1
+        if traces is not None:
+            traces.append(t)
+    return digest.hexdigest(), count
+
+
 # SHA-256 over color_corona's output on every pair enumerate_subcubic(ng) x
 # enumerate_subcubic(nh), ng in 1..6 and nh in 1..4 (1,854 pairs, disconnected
 # G included); any change to the construction or its fallbacks moves it
@@ -294,21 +311,9 @@ PINNED_OUTPUT_SHA256 = "73ff0dcd2e85c74ee47aa533b25af58a8ea973acbf886e58f3771284
 
 
 def test_output_is_pinned_on_small_pairs():
-    import hashlib
-
+    gs = [g for ng in range(1, 7) for g in enumerate_subcubic(ng)]
     hs = [h for nh in range(1, 5) for h in enumerate_subcubic(nh)]
-    digest = hashlib.sha256()
-    pairs = 0
-    for ng in range(1, 7):
-        for g in enumerate_subcubic(ng):
-            for h in hs:
-                res = color_corona(g, h)
-                c, t = res.coloring, res.trace
-                record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
-                digest.update(repr(record).encode() + b"\n")
-                pairs += 1
-    assert pairs == 1854
-    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+    assert output_digest((g, h) for g in gs for h in hs) == (PINNED_OUTPUT_SHA256, 1854)
 
 
 # SHA-256 of the same records over single-edge G (K2, 3K2, K2+K1) times every
@@ -319,23 +324,14 @@ SINGLE_EDGE_G_SHA256 = "35605008cae71f50af1fd8f69a52c1d7f755909f5a04186e928cae2c
 
 
 def test_single_edge_g_output_is_pinned():
-    import hashlib
-
     gs = [k(2), new_graph(6, [(0, 1), (2, 3), (4, 5)]), new_graph(3, [(0, 1)])]
     hs = [*enumerate_subcubic(6), *enumerate_subcubic(7)]
     hs += [gen_random_subcubic(10, s) for s in range(200)]
-    digest = hashlib.sha256()
-    pairs = case11 = 0
-    for g in gs:
-        for h in hs:
-            res = color_corona(g, h)
-            c, t = res.coloring, res.trace
-            record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
-            digest.update(repr(record).encode() + b"\n")
-            pairs += 1
-            case11 += any(tag == CASE_1_1 for _, tag in t.component_cases)
-    assert (pairs, case11) == (1236, 45)
-    assert digest.hexdigest() == SINGLE_EDGE_G_SHA256
+    traces = []
+    pinned = output_digest(((g, h) for g in gs for h in hs), traces)
+    assert pinned == (SINGLE_EDGE_G_SHA256, 1236)
+    case11 = sum(any(tag == CASE_1_1 for _, tag in t.component_cases) for t in traces)
+    assert case11 == 45
 
 
 # SHA-256 of the same records over G∘(empty H) for every enumerate_subcubic(ng),
@@ -345,19 +341,8 @@ EMPTY_H_SHA256 = "1c35f7cb4d03133bc7e592645228e729caa9a2214e72ca90058316dd1d0616
 
 
 def test_empty_h_output_is_pinned():
-    import hashlib
-
-    digest = hashlib.sha256()
-    pairs = 0
-    for ng in range(1, 7):
-        for g in enumerate_subcubic(ng):
-            res = color_corona(g, new_graph(0))
-            c, t = res.coloring, res.trace
-            record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
-            digest.update(repr(record).encode() + b"\n")
-            pairs += 1
-    assert pairs == 103
-    assert digest.hexdigest() == EMPTY_H_SHA256
+    gs = [g for ng in range(1, 7) for g in enumerate_subcubic(ng)]
+    assert output_digest((g, new_graph(0)) for g in gs) == (EMPTY_H_SHA256, 103)
 
 
 # SHA-256 of the same records over every G with 1-5 vertices and an isolated
@@ -368,21 +353,10 @@ ISOLATED_G_SHA256 = "da635aa3bd20e6ccd69d83fe6d29fa9a144dae6a64ee631d979474a1630
 
 
 def test_isolated_vertex_output_is_pinned():
-    import hashlib
-
     gs = [g for ng in range(1, 6) for g in enumerate_subcubic(ng) if not all(g.adj)]
     hs = [*enumerate_subcubic(5), *enumerate_subcubic(6)]
-    digest = hashlib.sha256()
-    pairs = 0
-    for g in gs:
-        for h in hs:
-            res = color_corona(g, h)
-            c, t = res.coloring, res.trace
-            record = (c.vertex_colors, c.edge_colors, t.case_tag, t.component_cases)
-            digest.update(repr(record).encode() + b"\n")
-            pairs += 1
-    assert (len(gs), len(hs), pairs) == (19, 85, 1615)
-    assert digest.hexdigest() == ISOLATED_G_SHA256
+    assert (len(gs), len(hs)) == (19, 85)
+    assert output_digest((g, h) for g in gs for h in hs) == (ISOLATED_G_SHA256, 1615)
 
 
 def test_component_corona_is_the_induced_subgraph():

@@ -209,3 +209,21 @@ def test_components_and_subgraph():
     sub, verts = subgraph(g, [3, 4, 2])
     assert verts == (2, 3, 4)
     assert sub.edges == ((1, 2),)
+
+
+def test_subgraph_matches_a_validated_build():
+    # subgraph builds its Graph as it relabels, unvalidated and unsorted:
+    # new_graph on the same pairs, which checks and sorts them, must agree
+    import random
+    from itertools import combinations
+
+    cases = [(g, s) for n in range(1, 6) for g in enumerate_subcubic(n)
+             for r in range(n + 1) for s in combinations(range(n), r)]
+    rng = random.Random(5)
+    cases += [(gen_random_subcubic(60, t), rng.sample(range(60), rng.randrange(61)))
+              for t in range(50)]
+    for g, s in cases:
+        sub, verts = subgraph(g, s)
+        back = {v: i for i, v in enumerate(verts)}
+        pairs = [(back[a], back[b]) for a, b in g.edges if a in back and b in back]
+        assert sub == new_graph(len(verts), pairs), (g.edges, s)

@@ -147,7 +147,7 @@ def test_k5_has_no_six_coloring():
     # the one proof of absence the exhaustive sweep's oracle rests on:
     # K1 joined to K4 is K5, whose index is 7, not 6
     assert npdtc_search(k(5), 6) is None
-    assert chi_prod_exact(corona(k(1), k(4))[0]) == 7
+    assert chi_prod_exact(corona(k(1), k(4))[0]).max_color == 7
 
 
 def plain_chi(g):
@@ -165,13 +165,15 @@ def test_twin_cut_keeps_the_exact_index():
         corona(g, h)[0] for n in range(1, 5) for g in enumerate_subcubic(n, connected=True) for h in hs
     ]
     for g in graphs:
-        assert chi_prod_exact(g) == plain_chi(g), g.edges
+        tc = chi_prod_exact(g)
+        assert tc.max_color == plain_chi(g), g.edges
+        assert verify_npd(g, tc).ok, g.edges
 
 
 def test_twin_cut_proves_k5_within_a_small_budget():
     # the plain search needs 1,169,076 nodes to prove K5 has no 6-coloring;
     # capped by its one twin class it needs under 10,000
-    assert chi_prod_exact(k(5), budget=20_000) == 7
+    assert chi_prod_exact(k(5), budget=20_000).max_color == 7
 
 
 def test_twin_classes():
@@ -208,21 +210,23 @@ def test_chi_values_match_independent_brute_force():
     }
     for name, (g, frozen) in expected.items():
         assert brute_chi_prod(g) == frozen, name
-        assert chi_prod_exact(g) == frozen, name
+        tc = chi_prod_exact(g)
+        assert tc.max_color == frozen, name
+        assert verify_npd(g, tc).ok, name
 
 
 def test_chi_exhaustive_cross_check_small():
     # all subcubic isomorphism classes, connected or not
     for n in range(2, 5):
         for g in enumerate_subcubic(n):
-            assert chi_prod_exact(g) == brute_chi_prod(g), g.edges
+            assert chi_prod_exact(g).max_color == brute_chi_prod(g), g.edges
 
 
 def test_chi_trivia():
-    assert chi_prod_exact(new_graph(1)) == 1
-    assert chi_prod_exact(new_graph(3)) == 1  # three isolated vertices
+    assert chi_prod_exact(new_graph(1)).max_color == 1
+    assert chi_prod_exact(new_graph(3)).max_color == 1  # three isolated vertices
     g = new_graph(5, [(0, 1), (2, 3)])  # disconnected: max over components
-    assert chi_prod_exact(g) == 3
+    assert chi_prod_exact(g).max_color == 3
     with pytest.raises(ValueError):
         chi_prod_exact(new_graph(0))
 
@@ -248,7 +252,7 @@ def test_monotone_in_k():
 def test_subcubic_bound_executable():
     for n in range(2, 7):
         for g in enumerate_subcubic(n, connected=True):
-            assert chi_prod_exact(g) <= max_degree(g) + 3
+            assert chi_prod_exact(g).max_color <= max_degree(g) + 3
 
 
 def test_budget_exceeded_is_distinct_from_not_found(monkeypatch):
