@@ -166,8 +166,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.count:
         pairs = _random_pairs(random.Random(args.seed), args.count, args.ng_max, args.nh_max)
     else:
-        gs = [g for nn in range(1, args.ng_max + 1) for g in enumerate_subcubic(nn, connected=True)]
-        hs = [h for nn in range(1, args.nh_max + 1) for h in enumerate_subcubic(nn)]
+        gs = [_factor(g) for nn in range(1, args.ng_max + 1)
+              for g in enumerate_subcubic(nn, connected=True)]
+        hs = [_factor(h) for nn in range(1, args.nh_max + 1) for h in enumerate_subcubic(nn)]
         pairs = ((g, h) for g in gs for h in hs)
     try:  # the records go to the log or to stdout; either may fail to take them
         if args.log:
@@ -178,21 +179,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise _Failure(2, f"write error: {exc}") from exc
 
 
+# A sweep factor: the graph, its graph6 text and its maximum degree, which
+# every record of the factor repeats.
+_Factor = tuple[Graph, str, int]
+
+
+def _factor(g: Graph) -> _Factor:
+    return g, emit_graph6(g), max_degree(g)
+
+
 def _random_pairs(
     rng: random.Random, count: int, ng_max: int, nh_max: int
-) -> Iterator[tuple[Graph, Graph]]:
+) -> Iterator[tuple[_Factor, _Factor]]:
     """count random pairs, each drawn from rng as ng, nh, G's seed, H's seed."""
     for _ in range(count):
         ng = rng.randint(1, ng_max)
         nh = rng.randint(1, nh_max)
-        g = gen_random_subcubic(ng, rng.randrange(1 << 30))
-        yield g, gen_random_subcubic(nh, rng.randrange(1 << 30))
+        g = _factor(gen_random_subcubic(ng, rng.randrange(1 << 30)))
+        yield g, _factor(gen_random_subcubic(nh, rng.randrange(1 << 30)))
 
 
-def _sweep_pairs(pairs: Iterator[tuple[Graph, Graph]], oracle_max: int, out: TextIO) -> int:
+def _sweep_pairs(
+    pairs: Iterator[tuple[_Factor, _Factor]], oracle_max: int, out: TextIO
+) -> int:
     """Color each pair, writing and flushing its JSONL record as soon as it finishes."""
-    for gg, hh in pairs:
-        g6g, g6h = emit_graph6(gg), emit_graph6(hh)
+    for (gg, g6g, delta_g), (hh, g6h, delta_h) in pairs:
         start = time.perf_counter()
         try:
             result = color_corona(gg, hh)  # asserts max_color <= palette_bound itself
@@ -212,8 +223,8 @@ def _sweep_pairs(pairs: Iterator[tuple[Graph, Graph]], oracle_max: int, out: Tex
             "g6_h": g6h,
             "n_g": gg.n,
             "n_h": hh.n,
-            "delta_g": max_degree(gg),
-            "delta_h": max_degree(hh),
+            "delta_g": delta_g,
+            "delta_h": delta_h,
             "case": result.trace.case_tag,
             "max_color": result.coloring.max_color,
             "bound": bound,

@@ -4,7 +4,23 @@ Graphs are grown one vertex at a time: every graph on t+1 vertices with
 maximum degree at most 3 arises from one on t vertices by attaching a new
 vertex to at most three vertices of degree below 3, so closing each level
 under that augmentation and deduplicating by a canonical form enumerates
-the whole family.
+the whole family.  The connected family is closed the same way from
+connected parents only, attaching the new vertex to at least one of them:
+every connected graph has a vertex whose removal leaves it connected (a
+leaf of a spanning tree), so each class still arises.
+
+Two prunes skip work whose result is already found; both act only through
+automorphisms, so they change which copy of a class is built, never the
+set of classes or the forms.  Twins (``graph.twin_classes``) are vertices
+with equal open or equal closed neighborhoods, and swapping two of them
+fixes every other vertex.
+- In ``canonical_form`` only the first unplaced vertex of each twin class
+  is tried next: swapping it with a later unplaced twin maps every order
+  that places the later one there onto an order with the same prefix and
+  the same columns.
+- A parent's vertices are joined to the new one only through subsets that
+  hold a prefix of each of its twin classes: permuting a class carries any
+  other subset onto such a one and the child onto an isomorphic child.
 """
 
 from __future__ import annotations
@@ -12,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, is_connected, new_graph
+from .graph import Graph, new_graph, twin_classes
 
 
 def _refined_cells(g: Graph) -> list[list[int]]:
@@ -36,6 +52,7 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     Column d holds one bit per earlier position, so the tuple fixes the graph
     up to labels; two graphs get the same form exactly when isomorphic.
+    Orders that differ by a swap of twins are searched once (see above).
     """
     n = g.n
     if n == 0:
@@ -45,6 +62,10 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     cells = _refined_cells(g)
+    twin_of = [-1] * n  # v's twin class, or -1
+    for i, cls in enumerate(twin_classes(g)):
+        for v in cls:
+            twin_of[v] = i
     best: list[int] | None = None
     placed: list[int] = []
     cols = [0] * n
@@ -59,7 +80,13 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
             dfs(depth, cell_idx + 1, tuple(cells[cell_idx + 1]), better)
             return
         cand = []
+        tried = set()
         for v in remaining:
+            t = twin_of[v]
+            if t >= 0:
+                if t in tried:
+                    continue
+                tried.add(t)
             mv = masks[v]
             col = 0
             for q, u in enumerate(placed):
@@ -100,17 +127,20 @@ def _graph_from_form(form: tuple[int, tuple[int, ...]]) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _subcubic_level(n: int) -> tuple[Graph, ...]:
+def _subcubic_level(n: int, connected: bool) -> tuple[Graph, ...]:
     if n <= 0:
         return ()
     if n == 1:
         return (new_graph(1, ()),)
     out: dict[tuple[int, tuple[int, ...]], Graph] = {}
-    for parent in _subcubic_level(n - 1):
+    for parent in _subcubic_level(n - 1, connected):
         open_verts = [v for v in range(parent.n) if parent.degree(v) < 3]
+        prev = {v: u for cls in twin_classes(parent) for u, v in zip(cls, cls[1:])}
         base = list(parent.edges)
-        for r in range(min(3, len(open_verts)) + 1):
+        for r in range(1 if connected else 0, min(3, len(open_verts)) + 1):
             for subset in combinations(open_verts, r):
+                if any(v in prev and prev[v] not in subset for v in subset):
+                    continue
                 child = new_graph(n, base + [(v, n - 1) for v in subset])
                 key = canonical_form(child)
                 if key not in out:
@@ -120,8 +150,6 @@ def _subcubic_level(n: int) -> tuple[Graph, ...]:
 
 def enumerate_subcubic(n: int, connected: bool = False) -> tuple[Graph, ...]:
     """All graphs on n vertices with maximum degree at most 3, one per
-    isomorphism class, canonically labeled and deterministically ordered."""
-    level = _subcubic_level(n)
-    if connected:
-        return tuple(g for g in level if is_connected(g))
-    return level
+    isomorphism class, canonically labeled and deterministically ordered;
+    with connected, the connected ones alone, in the same order."""
+    return _subcubic_level(n, bool(connected))

@@ -8,6 +8,7 @@ used throughout the package; a graph is n and that edge list alone.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -109,6 +110,22 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of two or more twin vertices, each sorted, ordered by smallest vertex.
+
+    Twins have equal closed neighborhoods N[u] = N[v] or equal open ones
+    N(u) = N(v); permuting a class and fixing the rest is an automorphism.
+    The classes are disjoint and both kinds of key share one dict: N[u] = N[v]
+    and N(u) = N(w) would put w in N[u], so u in N(w) = N(u), and N(u) = N[w]
+    would put w in N(u), so u in N(w) and in N(u).
+    """
+    groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for v, nb in enumerate(g.adj):
+        groups[nb].append(v)
+        groups[tuple(sorted(nb + (v,)))].append(v)
+    return sorted(c for c in groups.values() if len(c) > 1)
 
 
 def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

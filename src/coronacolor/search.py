@@ -15,10 +15,17 @@ by (score, conflict degree) cells that also give each depth its forward list.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 
 from .errors import BudgetExceededError
-from .graph import Graph, TotalColoring, connected_components, max_degree, require_subcubic, subgraph
+from .graph import (
+    Graph,
+    TotalColoring,
+    connected_components,
+    max_degree,
+    require_subcubic,
+    subgraph,
+    twin_classes,
+)
 
 DEFAULT_BUDGET = 5_000_000
 BASE_BUDGET = 50_000_000  # node budget of base_coloring's search, read at call time
@@ -47,11 +54,6 @@ def _conflict_lists(g: Graph) -> list[list[int]]:
 def _setup_slots(deg: list[int], k: int) -> int:
     """Slots of ``_search``'s ban counts and conflict lists, built before its first node."""
     return (len(deg) + sum(deg) // 2) * (k + 1) + sum(d * (d + 2) for d in deg)
-
-
-def _element_order(conf: list[list[int]]) -> list[int]:
-    """Most-constrained-first order of the elements, as ``_order_and_ahead`` finds it."""
-    return _order_and_ahead(conf)[0]
 
 
 def _order_and_ahead(conf: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -109,28 +111,12 @@ def _order_and_ahead(conf: list[list[int]]) -> tuple[list[int], list[list[int]]]
     return order, ahead
 
 
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """The classes of two or more twin vertices, each sorted, ordered by smallest vertex.
-
-    Twins have equal closed neighborhoods N[u] = N[v] or equal open ones
-    N(u) = N(v); permuting a class and fixing the rest is an automorphism.
-    The classes are disjoint and both kinds of key share one dict: N[u] = N[v]
-    and N(u) = N(w) would put w in N[u], so u in N(w) = N(u), and N(u) = N[w]
-    would put w in N(u), so u in N(w) and in N(u).
-    """
-    groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-    for v, nb in enumerate(g.adj):
-        groups[nb].append(v)
-        groups[tuple(sorted(nb + (v,)))].append(v)
-    return sorted(c for c in groups.values() if len(c) > 1)
-
-
 def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColoring | None:
     """Proper total [k]-coloring with distinct star products across every edge, or None.
 
     Elements (vertices, then edges in canonical order) are colored in
     most-constrained-first order, colors ascending.  That order is computed
-    once, before the search, by ``_element_order``: each next element has the
+    once, before the search, by ``_order_and_ahead``: each next element has the
     most conflicts against those already ordered, ties broken by conflict
     degree and then by the smaller id, so backtracking causes stay recent.
     Every color of the palette is tried at every element, so an exhaustive
@@ -180,7 +166,7 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
         depth_of = [0] * total
         for d, e in enumerate(order):
             depth_of[e] = d
-        for cls in _twin_classes(g):
+        for cls in twin_classes(g):
             cls.sort(key=depth_of.__getitem__)
             for prev, v in zip(cls, cls[1:]):
                 ceiling[depth_of[v]] = prev

@@ -13,14 +13,29 @@ byte-level one agrees with it on every output and every error.
 text parsers in their earlier form, which sort a set of edges and walk a
 document's edges and colors more than once: the one-walk parsers must agree
 with them on every graph and every error, and on which documents they accept.
+``reference_canonical_form`` and ``reference_enumerate_subcubic`` are the
+canonical form and the augmentation closure before the twin prunes: every
+refinement-respecting vertex order is searched, every subset of a parent's
+open vertices is joined to the new vertex, and the connected family is the
+whole level filtered, so the pruned ones must agree with them exactly.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 
-from coronacolor import ColoringDocument, CoronaMap, Graph, TotalColoring, max_degree, new_graph
+from coronacolor import (
+    ColoringDocument,
+    CoronaMap,
+    Graph,
+    TotalColoring,
+    is_connected,
+    max_degree,
+    new_graph,
+)
 from coronacolor.errors import (
     BadCharError,
     BudgetExceededError,
@@ -35,8 +50,9 @@ from coronacolor.errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
+from coronacolor.enumeration import _graph_from_form, _refined_cells
 from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
-from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _element_order
+from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _order_and_ahead
 
 
 class IncompleteColoringError(CoronaColorError):
@@ -118,7 +134,7 @@ def reference_npdtc_search(
 
     Elements (vertices, then edges in canonical order) are colored in
     most-constrained-first order, colors ascending.  That order is computed
-    once, before the search, by ``_element_order``: each next element has the
+    once, before the search, by ``_order_and_ahead``: each next element has the
     most conflicts against those already ordered, ties broken by conflict
     degree and then by the smaller id, so backtracking causes stay recent.
     Every color of the palette is tried at every element, so an exhaustive
@@ -144,7 +160,7 @@ def reference_npdtc_search(
     conf = _conflict_lists(g)
     owners: list[tuple[int, ...]] = [(v,) for v in range(n)]
     owners.extend(g.edges)
-    order = _element_order(conf)
+    order = _order_and_ahead(conf)[0]
 
     color = [0] * total
     banned = [[0] * (k + 1) for _ in range(total)]
@@ -405,3 +421,80 @@ def reference_parse_coloring_json(text: str) -> ColoringDocument:
         corona_map = CoronaMap(n_g, n_h)
     vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
     return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)
+
+
+def reference_canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The earlier ``canonical_form``, which tries every candidate at every depth."""
+    n = g.n
+    if n == 0:
+        return (0, ())
+    masks = [0] * n
+    for a, b in g.edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    cells = _refined_cells(g)
+    best: list[int] | None = None
+    placed: list[int] = []
+    cols = [0] * n
+
+    def dfs(depth: int, cell_idx: int, remaining: tuple[int, ...], better: bool) -> None:
+        nonlocal best
+        if depth == n:
+            if best is None or cols < best:
+                best = cols.copy()
+            return
+        if not remaining:
+            dfs(depth, cell_idx + 1, tuple(cells[cell_idx + 1]), better)
+            return
+        cand = []
+        for v in remaining:
+            mv = masks[v]
+            col = 0
+            for q, u in enumerate(placed):
+                if (mv >> u) & 1:
+                    col |= 1 << q
+            cand.append((col, v))
+        cand.sort()
+        for col, v in cand:
+            sub_better = better
+            if not sub_better and best is not None:
+                ref = best[depth]
+                if col > ref:
+                    break
+                if col < ref:
+                    sub_better = True
+            cols[depth] = col
+            placed.append(v)
+            dfs(depth + 1, cell_idx, tuple(x for x in remaining if x != v), sub_better)
+            placed.pop()
+
+    dfs(0, 0, tuple(cells[0]), False)
+    assert best is not None
+    return (n, tuple(best))
+
+
+@lru_cache(maxsize=None)
+def _reference_subcubic_level(n: int) -> tuple[Graph, ...]:
+    if n <= 0:
+        return ()
+    if n == 1:
+        return (new_graph(1, ()),)
+    out: dict[tuple[int, tuple[int, ...]], Graph] = {}
+    for parent in _reference_subcubic_level(n - 1):
+        open_verts = [v for v in range(parent.n) if parent.degree(v) < 3]
+        base = list(parent.edges)
+        for r in range(min(3, len(open_verts)) + 1):
+            for subset in combinations(open_verts, r):
+                child = new_graph(n, base + [(v, n - 1) for v in subset])
+                key = reference_canonical_form(child)
+                if key not in out:
+                    out[key] = _graph_from_form(key)
+    return tuple(out[k] for k in sorted(out))
+
+
+def reference_enumerate_subcubic(n: int, connected: bool = False) -> tuple[Graph, ...]:
+    """The earlier ``enumerate_subcubic``: the whole level, filtered when connected."""
+    level = _reference_subcubic_level(n)
+    if connected:
+        return tuple(g for g in level if is_connected(g))
+    return level

@@ -12,9 +12,11 @@ from coronacolor import (
     max_degree,
     new_graph,
 )
+from oracles import reference_canonical_form, reference_enumerate_subcubic
 
-# frozen from the independent canonicalizer below (n <= 5) and the direct
-# mask enumeration (n = 6); levels 7 and 8 come from the augmentation closure
+# frozen from the independent canonicalizer below (n <= 5), the direct mask
+# enumeration (n = 6) and networkx's atlas of all graphs (n <= 7); level 8
+# comes from the augmentation closure
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 23, 6: 62, 7: 150, 8: 424}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64, 8: 194}
 
@@ -110,3 +112,64 @@ def test_canonical_form_agrees_with_networkx_isomorphism():
         nb.add_nodes_from(range(b.n))
         nb.add_edges_from(b.edges)
         assert (canonical_form(a) == canonical_form(b)) == nx.is_isomorphic(na, nb)
+
+
+def _atlas_subcubic(n):
+    """The subcubic graphs on n vertices in networkx's atlas, one per class."""
+    return [
+        new_graph(n, list(a.edges()))
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() == n and all(d <= 3 for _, d in a.degree())
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_levels_hold_the_atlas_classes(n):
+    # the atlas lists every graph on up to 7 vertices once up to isomorphism,
+    # independently of this package's closure and prunes
+    atlas = _atlas_subcubic(n)
+    want_all = {reference_canonical_form(g) for g in atlas}
+    want_connected = {reference_canonical_form(g) for g in atlas if is_connected(g)}
+    assert len(want_all) == len(atlas) == ALL_COUNTS[n]
+    assert len(want_connected) == CONNECTED_COUNTS[n]
+    assert {canonical_form(g) for g in enumerate_subcubic(n)} == want_all
+    assert {canonical_form(g) for g in enumerate_subcubic(n, connected=True)} == want_connected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_matches_the_unpruned_closure(n):
+    for connected in (False, True):
+        assert enumerate_subcubic(n, connected) == reference_enumerate_subcubic(n, connected)
+
+
+def test_canonical_form_matches_the_unpruned_search():
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for g in enumerate_subcubic(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = new_graph(n, [(perm[a], perm[b]) for a, b in g.edges])
+            want = reference_canonical_form(g)
+            assert canonical_form(g) == canonical_form(relabeled) == want, g.edges
+
+
+def test_canonical_form_matches_the_unpruned_search_on_symmetric_graphs():
+    # large automorphism groups made of twin swaps, where the prune skips most
+    # of the search: the empty graph has n! refinement-respecting orders
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    graphs = [
+        new_graph(8),
+        new_graph(9),
+        new_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        new_graph(9, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        new_graph(8, k4 + [(a + 4, b + 4) for a, b in k4]),
+        new_graph(8, [(a, a ^ bit) for a in range(8) for bit in (1, 2, 4) if a < a ^ bit]),
+    ]
+    rng = random.Random(3)
+    for g in graphs:
+        want = reference_canonical_form(g)
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled = new_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+            assert canonical_form(relabeled) == want, (g.edges, perm)

@@ -18,7 +18,8 @@ from coronacolor import (
 )
 from coronacolor import search
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
-from coronacolor.search import _conflict_lists, _element_order, _twin_classes
+from coronacolor.graph import twin_classes
+from coronacolor.search import _conflict_lists, _order_and_ahead
 from oracles import reference_npdtc_search
 
 
@@ -90,7 +91,7 @@ def test_element_order_matches_reference_scan():
     ]
     for g in graphs:
         conf = _conflict_lists(g)
-        assert _element_order(conf) == reference_element_order(conf), g.edges
+        assert _order_and_ahead(conf)[0] == reference_element_order(conf), g.edges
 
 
 def test_element_order_matches_reference_scan_beyond_subcubic():
@@ -101,7 +102,7 @@ def test_element_order_matches_reference_scan_beyond_subcubic():
     for nxg in nx.graph_atlas_g()[1:]:
         g = new_graph(nxg.number_of_nodes(), list(nxg.edges()))
         conf = _conflict_lists(g)
-        assert _element_order(conf) == reference_element_order(conf), g.edges
+        assert _order_and_ahead(conf)[0] == reference_element_order(conf), g.edges
 
 
 def test_element_order_setup_memory_on_a_star():
@@ -114,7 +115,7 @@ def test_element_order_setup_memory_on_a_star():
     assert star.adj
     tracemalloc.start()
     try:
-        order = _element_order(_conflict_lists(star))
+        order = _order_and_ahead(_conflict_lists(star))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,12 +178,12 @@ def test_twin_cut_proves_k5_within_a_small_budget():
 
 
 def test_twin_classes():
-    assert _twin_classes(k(5)) == [[0, 1, 2, 3, 4]]  # equal closed neighborhoods
+    assert twin_classes(k(5)) == [[0, 1, 2, 3, 4]]  # equal closed neighborhoods
     star = new_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert _twin_classes(star) == [[1, 2, 3]]  # the leaves: equal open neighborhoods
-    assert _twin_classes(cycle(4)) == [[0, 2], [1, 3]]  # opposite vertices
-    assert _twin_classes(cycle(5)) == []
-    assert _twin_classes(new_graph(3, [(0, 1), (1, 2)])) == [[0, 2]]
+    assert twin_classes(star) == [[1, 2, 3]]  # the leaves: equal open neighborhoods
+    assert twin_classes(cycle(4)) == [[0, 2], [1, 3]]  # opposite vertices
+    assert twin_classes(cycle(5)) == []
+    assert twin_classes(new_graph(3, [(0, 1), (1, 2)])) == [[0, 2]]
 
 
 def test_k2_search():
