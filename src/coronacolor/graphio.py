@@ -237,10 +237,16 @@ def document_coloring(doc: ColoringDocument) -> TotalColoring:
     return doc.coloring
 
 
+# Compact JSON for one document field.  A document's fields are ints and
+# tuples of ints, which cannot hold a cycle, so the encoder keeps no
+# markers dict: with one, every edge pair costs an insert and a delete.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def emit_coloring_json(doc: ColoringDocument) -> str:
     """One top-level key per line, each value (arrays included) on its line
     in compact JSON: a valid JSON object, read back by parse_coloring_json."""
-    # the tuples go to json.dumps as they are: JSON writes them as arrays
+    # the tuples are encoded as they are: JSON writes them as arrays
     payload = {
         "n": doc.graph.n,
         "edges": doc.graph.edges,
@@ -251,10 +257,7 @@ def emit_coloring_json(doc: ColoringDocument) -> str:
         if doc.corona_map is None
         else {"n_g": doc.corona_map.n_g, "n_h": doc.corona_map.n_h},
     }
-    fields = (
-        f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
-        for key, value in payload.items()
-    )
+    fields = (f"  {json.dumps(key)}: {_COMPACT(value)}" for key, value in payload.items())
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 

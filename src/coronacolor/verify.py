@@ -93,10 +93,11 @@ def _clean_products(g: Graph, coloring: TotalColoring) -> list[int] | None:
     prods = list(vcol)
     for (a, b), c in zip(g.edges, ecol):
         x = bit[c]
-        if vcol[a] == vcol[b] or seen[a] & x or seen[b] & x:
+        sa, sb = seen[a], seen[b]
+        if vcol[a] == vcol[b] or sa & x or sb & x:
             return None
-        seen[a] |= x
-        seen[b] |= x
+        seen[a] = sa | x
+        seen[b] = sb | x
         prods[a] *= c
         prods[b] *= c
     return prods
@@ -181,14 +182,26 @@ def verify_nvd(g: Graph, coloring: TotalColoring) -> VerifyReport:
 
 
 def report_to_json(report: VerifyReport) -> str:
-    """Render a report as the JSON sibling of the coloring document."""
+    """Render a report as the JSON sibling of the coloring document: the text
+    of ``json.dumps`` with ``indent=2`` of {"ok", "violations", "products"},
+    products keyed "0", "1", ... in vertex order, one per line."""
     # the tuples go to json.dumps as they are: JSON writes them as arrays
-    payload = {
-        "ok": report.ok,
-        "violations": [
-            {"kind": v.kind, "elements": v.elements, "witness": v.witness}
-            for v in report.violations
-        ],
-        "products": {str(v): p for v, p in enumerate(report.products)},
-    }
-    return json.dumps(payload, indent=2)
+    head = json.dumps(
+        {
+            "ok": report.ok,
+            "violations": [
+                {"kind": v.kind, "elements": v.elements, "witness": v.witness}
+                for v in report.violations
+            ],
+        },
+        indent=2,
+    )[:-2]  # drop the closing "\n}": the products block goes there
+    if not report.products:
+        return head + ',\n  "products": {}\n}'
+    # json.dumps with indent falls back to its Python encoder, which would
+    # take a call per product; the compact one spells each value (an int, or
+    # true or false for a bool color) the same way at C speed, and no value
+    # holds a comma
+    values = json.dumps(report.products, separators=(",", ":"), check_circular=False)
+    lines = [f'    "{v}": {p}' for v, p in enumerate(values[1:-1].split(","))]
+    return head + ',\n  "products": {\n' + ",\n".join(lines) + "\n  }\n}"

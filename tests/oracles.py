@@ -13,6 +13,10 @@ byte-level one agrees with it on every output and every error.
 text parsers in their earlier form, which sort a set of edges and walk a
 document's edges and colors more than once: the one-walk parsers must agree
 with them on every graph and every error, and on which documents they accept.
+``reference_emit_coloring_json`` and ``reference_report_to_json`` are the two
+JSON writers in their earlier form, one ``json.dumps`` per document field and
+one ``json.dumps(..., indent=2)`` of the whole report: the writers must give
+the same text on every document and every report.
 ``reference_canonical_form`` and ``reference_enumerate_subcubic`` are the
 canonical form and the augmentation closure before the twin prunes: every
 refinement-respecting vertex order is searched, every subset of a parent's
@@ -52,6 +56,7 @@ from coronacolor.errors import (
 )
 from coronacolor.enumeration import _graph_from_form, _refined_cells
 from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
+from coronacolor.verify import VerifyReport
 from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _order_and_ahead
 
 
@@ -421,6 +426,38 @@ def reference_parse_coloring_json(text: str) -> ColoringDocument:
         corona_map = CoronaMap(n_g, n_h)
     vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
     return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)
+
+
+def reference_emit_coloring_json(doc: ColoringDocument) -> str:
+    """A coloring document with each field written by its own ``json.dumps``."""
+    payload = {
+        "n": doc.graph.n,
+        "edges": doc.graph.edges,
+        "vertex_colors": doc.coloring.vertex_colors,
+        "edge_colors": doc.coloring.edge_colors,
+        "max_color": doc.coloring.max_color,
+        "corona_map": None
+        if doc.corona_map is None
+        else {"n_g": doc.corona_map.n_g, "n_h": doc.corona_map.n_h},
+    }
+    fields = (
+        f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+        for key, value in payload.items()
+    )
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def reference_report_to_json(report: VerifyReport) -> str:
+    """A report as one ``json.dumps(..., indent=2)``, products in a dict keyed by vertex."""
+    payload = {
+        "ok": report.ok,
+        "violations": [
+            {"kind": v.kind, "elements": v.elements, "witness": v.witness}
+            for v in report.violations
+        ],
+        "products": {str(v): p for v, p in enumerate(report.products)},
+    }
+    return json.dumps(payload, indent=2)
 
 
 def reference_canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coronacolor import (
     ColoringDocument,
@@ -20,6 +22,7 @@ from coronacolor import (
     emit_dot,
     emit_edge_list,
     emit_graph6,
+    enumerate_subcubic,
     gen_random_subcubic,
     new_graph,
     parse_coloring_json,
@@ -39,6 +42,7 @@ from coronacolor.errors import (
     TruncatedPayloadError,
 )
 from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
+from oracles import reference_emit_coloring_json
 
 
 def test_graph6_hand_decoded_literals():
@@ -263,6 +267,40 @@ def test_coloring_json_layout():
     old = json.dumps(payload, indent=2) + "\n"
     assert len(old.splitlines()) > 2 * len(doc.coloring.vertex_colors)
     assert parse_coloring_json(old) == doc
+
+
+def test_coloring_json_matches_the_reference_writer_on_small_coronas():
+    # the pairs whose output PINNED_OUTPUT_SHA256 pins
+    gs = [g for ng in range(1, 7) for g in enumerate_subcubic(ng)]
+    hs = [h for nh in range(1, 5) for h in enumerate_subcubic(nh)]
+    for g in gs:
+        for h in hs:
+            res = color_corona(g, h)
+            doc = coloring_document(res.graph, res.coloring, res.corona_map)
+            assert emit_coloring_json(doc) == reference_emit_coloring_json(doc)
+
+
+# any int the writer may meet: huge, negative and bool colors included
+DOC_INT = st.integers(min_value=-2, max_value=12) | st.sampled_from([10**18, 2**70]) | st.booleans()
+
+
+@st.composite
+def drawn_documents(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = list(combinations(range(n), 2))
+    edges = tuple(sorted(draw(st.lists(st.sampled_from(pairs), unique=True)))) if pairs else ()
+    vcol = tuple(draw(st.lists(DOC_INT, min_size=n, max_size=n)))
+    ecol = tuple(draw(st.lists(DOC_INT, min_size=len(edges), max_size=len(edges))))
+    corona_map = draw(st.none() | st.builds(CoronaMap, DOC_INT, DOC_INT))
+    return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, draw(DOC_INT)), corona_map)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn_documents())
+@example(ColoringDocument(Graph(0, ()), TotalColoring((), (), 1)))
+@example(ColoringDocument(Graph(0, ()), TotalColoring((), (), 1), CoronaMap(0, 0)))
+def test_coloring_json_matches_the_reference_writer_on_drawn_documents(doc):
+    assert emit_coloring_json(doc) == reference_emit_coloring_json(doc)
 
 
 def test_constructed_coloring_document_reverifies():

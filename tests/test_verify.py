@@ -32,7 +32,7 @@ from coronacolor.verify import (
     VERTEX_EDGE_CLASH,
     VERTEX_VERTEX_CLASH,
 )
-from oracles import IncompleteColoringError, product_at
+from oracles import IncompleteColoringError, product_at, reference_report_to_json
 
 K2 = new_graph(2, [(0, 1)])
 K2_GOOD = TotalColoring((1, 2), (3,), 3)
@@ -229,6 +229,44 @@ def test_report_json_is_pinned():
     assert digest.hexdigest() == REPORT_JSON_SHA256
 
 
+def test_report_json_matches_the_reference_writer():
+    # every violation kind, the one-pass and the exhaustive report, empty
+    # products (a color below 1) and a bool color, whose product prints true
+    small = [g for n in range(1, 4) for g in enumerate_subcubic(n)]
+    cases = [
+        (res.graph, tc)
+        for g in small
+        for h in small
+        for res in [color_corona(g, h)]
+        for tc in tampered(res.coloring)
+    ]
+    cases += greedy_colorings()
+    p3 = new_graph(3, [(0, 1), (1, 2)])
+    cases += [
+        (p3, TotalColoring((1, 1, 1), (1, 1), 1)),
+        (p3, TotalColoring((1, 0, 2), (2, 3), 3)),
+        (new_graph(2, []), TotalColoring((True, 2), (), 2)),
+        (new_graph(3, [(1, 2)]), TotalColoring((False, True, 2), (3,), 3)),
+        (new_graph(0, []), TotalColoring((), (), 1)),
+    ]
+    kinds = Counter()
+    empty = bools = 0
+    for g, tc in cases:
+        for check in (verify_proper_total, verify_npd, verify_nvd):
+            for report in (check(g, tc), exhaustive(check, g, tc)):
+                kinds.update(v.kind for v in report.violations)
+                empty += g.n > 0 and not report.products
+                bools += any(type(p) is bool for p in report.products)
+                assert report_to_json(report) == reference_report_to_json(report)
+    assert set(kinds) == {
+        VERTEX_VERTEX_CLASH, EDGE_EDGE_CLASH, VERTEX_EDGE_CLASH,
+        PRODUCT_COLLISION, SET_COLLISION, COLOR_OUT_OF_RANGE,
+    }
+    assert empty and bools
+    report = verify_npd(new_graph(1, []), TotalColoring((True,), (), 1))
+    assert json.loads(report_to_json(report))["products"] == {"0": True}
+
+
 def exhaustive(check, g, tc):
     """check's report when the one-pass clean check always defers to the full report."""
     with mock.patch.object(verify, "_clean_products", lambda g, coloring: None):
@@ -292,6 +330,15 @@ def test_clean_pass_agrees_with_the_exhaustive_report(case):
     g, tc = case
     for check in (verify_proper_total, verify_npd, verify_nvd):
         assert check(g, tc) == exhaustive(check, g, tc), check.__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(colored_graphs())
+def test_report_json_matches_the_reference_writer_on_drawn_colorings(case):
+    g, tc = case
+    for check in (verify_proper_total, verify_npd, verify_nvd):
+        report = check(g, tc)
+        assert report_to_json(report) == reference_report_to_json(report)
 
 
 def test_clean_pass_confirms_a_proper_coloring():
