@@ -24,9 +24,7 @@ from .graph import (
     TotalColoring,
     connected_components,
     corona,
-    edge_index,
     gen_random_subcubic,
-    is_connected,
     max_degree,
     new_graph,
     require_subcubic,

@@ -108,10 +108,6 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def twin_classes(g: Graph) -> list[list[int]]:
     """The classes of two or more twin vertices, each sorted, ordered by smallest vertex.
 

@@ -22,6 +22,8 @@ canonical form and the augmentation closure before the twin prunes: every
 refinement-respecting vertex order is searched, every subset of a parent's
 open vertices is joined to the new vertex, and the connected family is the
 whole level filtered, so the pruned ones must agree with them exactly.
+``k`` and ``cycle`` build the complete graph and the cycle on n vertices
+that several test modules use.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from coronacolor import (
     CoronaMap,
     Graph,
     TotalColoring,
-    is_connected,
+    connected_components,
     max_degree,
     new_graph,
 )
@@ -58,6 +60,16 @@ from coronacolor.enumeration import _graph_from_form, _refined_cells
 from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
 from coronacolor.verify import VerifyReport
 from coronacolor.search import DEFAULT_BUDGET, _conflict_lists, _order_and_ahead
+
+
+def k(n):
+    """The complete graph on n vertices."""
+    return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def cycle(n):
+    """The cycle on n vertices, edges i ~ i+1 mod n."""
+    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class IncompleteColoringError(CoronaColorError):
@@ -533,5 +545,5 @@ def reference_enumerate_subcubic(n: int, connected: bool = False) -> tuple[Graph
     """The earlier ``enumerate_subcubic``: the whole level, filtered when connected."""
     level = _reference_subcubic_level(n)
     if connected:
-        return tuple(g for g in level if is_connected(g))
+        return tuple(g for g in level if len(connected_components(g)) <= 1)
     return level

@@ -27,7 +27,7 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.cli import main
-from oracles import chi_prime_exact, product_at
+from oracles import chi_prime_exact, k, product_at
 
 
 def report(num, ok, detail):
@@ -35,10 +35,6 @@ def report(num, ok, detail):
     print(line)
     sys.stdout.flush()
     assert ok, line
-
-
-def k(n):
-    return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def test_criterion_1_bound_exhaustive(tmp_path):

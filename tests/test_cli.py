@@ -19,12 +19,9 @@ from coronacolor import (
     parse_graph6,
 )
 from coronacolor.cli import main
+from oracles import k
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def k(n):
-    return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def write_g6(path, g):

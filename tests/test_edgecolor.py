@@ -14,15 +14,7 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.errors import BudgetExceededError
-from oracles import chi_prime_exact
-
-
-def k(n):
-    return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def cycle(n):
-    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+from oracles import chi_prime_exact, cycle, k
 
 
 def assert_proper(g, ecol):

@@ -20,15 +20,7 @@ from coronacolor import search
 from coronacolor.errors import BudgetExceededError, NotSubcubicError
 from coronacolor.graph import twin_classes
 from coronacolor.search import _conflict_lists, _order_and_ahead
-from oracles import reference_npdtc_search
-
-
-def k(n):
-    return new_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def cycle(n):
-    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+from oracles import cycle, k, reference_npdtc_search
 
 
 def brute_chi_prod(g, kmax=8):

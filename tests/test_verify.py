@@ -82,6 +82,15 @@ def test_edge_edge_clash():
         vcol = tuple(1 if v == center else 2 for v in range(3))
         report = verify_proper_total(path, TotalColoring(vcol, (3, 3), 3))
         assert [v.kind for v in report.violations] == [EDGE_EDGE_CLASH], center
+    # three edges of one color at a vertex: every pair of them, in edge order
+    claw = new_graph(4, [(0, 1), (0, 2), (0, 3)])
+    report = verify_proper_total(claw, TotalColoring((1, 2, 2, 2), (3, 3, 3), 3))
+    assert [v.kind for v in report.violations] == [EDGE_EDGE_CLASH] * 3
+    assert [v.elements for v in report.violations] == [
+        (("edge", (0, 1)), ("edge", (0, 2))),
+        (("edge", (0, 1)), ("edge", (0, 3))),
+        (("edge", (0, 2)), ("edge", (0, 3))),
+    ]
 
 
 def test_color_out_of_range():
@@ -145,6 +154,17 @@ def test_reports_are_exhaustive():
     assert kinds.count(VERTEX_VERTEX_CLASH) == 2
     assert kinds.count(EDGE_EDGE_CLASH) == 1
     assert kinds.count(VERTEX_EDGE_CLASH) == 4
+    # every kind at once, listed in turn: vertex range faults, edge range
+    # faults, then the vertex-vertex, vertex-edge and edge-edge clashes
+    report = verify_proper_total(p3, TotalColoring((1, 1, 5), (5, 5), 4))
+    assert [(v.kind, v.elements, v.witness) for v in report.violations] == [
+        (COLOR_OUT_OF_RANGE, (("vertex", 2),), (5,)),
+        (COLOR_OUT_OF_RANGE, (("edge", (0, 1)),), (5,)),
+        (COLOR_OUT_OF_RANGE, (("edge", (1, 2)),), (5,)),
+        (VERTEX_VERTEX_CLASH, (("vertex", 0), ("vertex", 1)), (1,)),
+        (VERTEX_EDGE_CLASH, (("vertex", 2), ("edge", (1, 2))), (5,)),
+        (EDGE_EDGE_CLASH, (("edge", (0, 1)), ("edge", (1, 2))), (5,)),
+    ]
 
 
 def test_report_json():
@@ -352,16 +372,25 @@ def test_clean_pass_confirms_a_proper_coloring():
 def test_clean_pass_keeps_one_color_mask_per_vertex():
     # flags keyed by (color, vertex) in a (top + 1) * n bytearray peaked at
     # 9.4 MiB here; one color bitmask per vertex peaks at 7.7 MiB.  Measured
-    # under Python 3.11.
+    # under Python 3.11.  With every color shifted by 10**18 the same corona
+    # takes the full report, which keeps each vertex's edge ids: 24.6 MiB
+    # under Python 3.10 to 3.13, where a color dict per vertex took 75.6 MiB.
     res = color_corona(gen_random_subcubic(2000, 1), gen_random_subcubic(50, 2))
-    tracemalloc.start()
-    try:
-        report = verify_npd(res.graph, res.coloring)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok
-    assert peak < 8.5 * 2**20
+    big = 10**18
+    shifted = TotalColoring(
+        tuple(big + c for c in res.coloring.vertex_colors),
+        tuple(big + c for c in res.coloring.edge_colors),
+        big + res.coloring.max_color,
+    )
+    for coloring, bound in ((res.coloring, 8.5), (shifted, 28)):
+        tracemalloc.start()
+        try:
+            report = verify_npd(res.graph, coloring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < bound * 2**20
 
 
 def test_huge_colors_verify_in_bounded_memory():
