@@ -9,6 +9,10 @@ connected parents only, attaching the new vertex to at least one of them:
 every connected graph has a vertex whose removal leaves it connected (a
 leaf of a spanning tree), so each class still arises.
 
+The canonical search takes the refined cells in order, one vertex per
+depth, and reads a candidate's column from the depths of its at most
+three neighbours already in the order.
+
 Two prunes skip work whose result is already found; both act only through
 automorphisms, so they change which copy of a class is built, never the
 set of classes or the forms.  Twins (``graph.twin_classes``) are vertices
@@ -28,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, new_graph, twin_classes
+from .graph import Graph, twin_classes
 
 
 def _refined_cells(g: Graph) -> list[list[int]]:
@@ -57,41 +61,35 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
     n = g.n
     if n == 0:
         return (0, ())
-    masks = [0] * n
-    for a, b in g.edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    cells = _refined_cells(g)
+    cell_at = [cell for cell in _refined_cells(g) for _ in cell]  # the cell depth d draws from
     twin_of = [-1] * n  # v's twin class, or -1
     for i, cls in enumerate(twin_classes(g)):
         for v in cls:
             twin_of[v] = i
     best: list[int] | None = None
-    placed: list[int] = []
+    pos = [-1] * n  # v's depth in the order, or -1
     cols = [0] * n
 
-    def dfs(depth: int, cell_idx: int, remaining: tuple[int, ...], better: bool) -> None:
+    def dfs(depth: int, better: bool) -> None:
         nonlocal best
         if depth == n:
             if best is None or cols < best:
                 best = cols.copy()
             return
-        if not remaining:
-            dfs(depth, cell_idx + 1, tuple(cells[cell_idx + 1]), better)
-            return
         cand = []
         tried = set()
-        for v in remaining:
+        for v in cell_at[depth]:
+            if pos[v] >= 0:
+                continue
             t = twin_of[v]
             if t >= 0:
                 if t in tried:
                     continue
                 tried.add(t)
-            mv = masks[v]
             col = 0
-            for q, u in enumerate(placed):
-                if (mv >> u) & 1:
-                    col |= 1 << q
+            for u in g.adj[v]:
+                if pos[u] >= 0:
+                    col |= 1 << pos[u]
             cand.append((col, v))
         cand.sort()
         for col, v in cand:
@@ -103,11 +101,11 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
                 if col < ref:
                     sub_better = True
             cols[depth] = col
-            placed.append(v)
-            dfs(depth + 1, cell_idx, tuple(x for x in remaining if x != v), sub_better)
-            placed.pop()
+            pos[v] = depth
+            dfs(depth + 1, sub_better)
+            pos[v] = -1
 
-    dfs(0, 0, tuple(cells[0]), False)
+    dfs(0, False)
     assert best is not None
     return (n, tuple(best))
 
@@ -123,7 +121,7 @@ def _graph_from_form(form: tuple[int, tuple[int, ...]]) -> Graph:
                 edges.append((q, d))
             col >>= 1
             q += 1
-    return new_graph(n, edges)
+    return Graph(n, tuple(sorted(edges)))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +129,7 @@ def _subcubic_level(n: int, connected: bool) -> tuple[Graph, ...]:
     if n <= 0:
         return ()
     if n == 1:
-        return (new_graph(1, ()),)
+        return (Graph(1, ()),)
     out: dict[tuple[int, tuple[int, ...]], Graph] = {}
     for parent in _subcubic_level(n - 1, connected):
         open_verts = [v for v in range(parent.n) if parent.degree(v) < 3]
@@ -141,7 +139,7 @@ def _subcubic_level(n: int, connected: bool) -> tuple[Graph, ...]:
             for subset in combinations(open_verts, r):
                 if any(v in prev and prev[v] not in subset for v in subset):
                     continue
-                child = new_graph(n, base + [(v, n - 1) for v in subset])
+                child = Graph(n, tuple(sorted(base + [(v, n - 1) for v in subset])))
                 key = canonical_form(child)
                 if key not in out:
                     out[key] = _graph_from_form(key)

@@ -274,7 +274,9 @@ def parse_coloring_json(text: str) -> ColoringDocument:
     values; a document with several faults reports the first fault met."""
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an int past sys.get_int_max_str_digits() digits (a
+        # limit kept: it bounds the time to parse an int), or nesting too deep
         raise SchemaViolationError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaViolationError("top level must be an object")

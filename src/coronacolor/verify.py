@@ -19,6 +19,7 @@ fold that built it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -184,23 +185,32 @@ def report_to_json(report: VerifyReport) -> str:
     """Render a report as the JSON sibling of the coloring document: the text
     of ``json.dumps`` with ``indent=2`` of {"ok", "violations", "products"},
     products keyed "0", "1", ... in vertex order, one per line."""
-    # the tuples go to json.dumps as they are: JSON writes them as arrays
-    head = json.dumps(
-        {
-            "ok": report.ok,
-            "violations": [
-                {"kind": v.kind, "elements": v.elements, "witness": v.witness}
-                for v in report.violations
-            ],
-        },
-        indent=2,
-    )[:-2]  # drop the closing "\n}": the products block goes there
+    # products are exact at any size; Python 3.10.7+ refuses to write an int past
+    # sys.get_int_max_str_digits() digits, a limit meant for parsing (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        # the tuples go to json.dumps as they are: JSON writes them as arrays
+        head = json.dumps(
+            {
+                "ok": report.ok,
+                "violations": [
+                    {"kind": v.kind, "elements": v.elements, "witness": v.witness}
+                    for v in report.violations
+                ],
+            },
+            indent=2,
+        )[:-2]  # drop the closing "\n}": the products block goes there
+        # json.dumps with indent falls back to its Python encoder, which would
+        # take a call per product; the compact one spells each value (an int, or
+        # true or false for a bool color) the same way at C speed, and no value
+        # holds a comma
+        values = json.dumps(report.products, separators=(",", ":"), check_circular=False)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if not report.products:
         return head + ',\n  "products": {}\n}'
-    # json.dumps with indent falls back to its Python encoder, which would
-    # take a call per product; the compact one spells each value (an int, or
-    # true or false for a bool color) the same way at C speed, and no value
-    # holds a comma
-    values = json.dumps(report.products, separators=(",", ":"), check_circular=False)
     lines = [f'    "{v}": {p}' for v, p in enumerate(values[1:-1].split(","))]
     return head + ',\n  "products": {\n' + ",\n".join(lines) + "\n  }\n}"

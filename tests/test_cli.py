@@ -12,14 +12,17 @@ import pytest
 
 from coronacolor import (
     color_corona,
+    coloring_document,
+    emit_coloring_json,
     emit_graph6,
     gen_random_subcubic,
     max_degree,
     new_graph,
     parse_graph6,
+    verify_npd,
 )
 from coronacolor.cli import main
-from oracles import k
+from oracles import k, reference_report_to_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -102,6 +105,29 @@ def test_verify_detects_product_tampering(tmp_path, capsys):
     assert payload["ok"] is False
     assert {v["kind"] for v in payload["violations"]} == {"ProductCollision"}
     assert payload["violations"][0]["witness"] == [30, 30]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 writes ints of any length")
+def test_verify_writes_products_past_the_int_digit_limit(tmp_path, capsys):
+    # K1 times a 1,600-vertex H: the hub's star multiplies 1,600 distinct spoke
+    # colors, a product past the 4,300 digits Python writes by default
+    res = color_corona(k(1), gen_random_subcubic(1600, 2))
+    doc = tmp_path / "col.json"
+    doc.write_text(emit_coloring_json(coloring_document(res.graph, res.coloring, res.corona_map)))
+    corona_path = write_g6(tmp_path / "corona.g6", res.graph)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever ran before
+    try:
+        assert main(["verify", "--graph", corona_path, "--coloring", str(doc)]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        report = verify_npd(res.graph, res.coloring)
+        assert len(str(max(report.products))) > 4300
+        want = reference_report_to_json(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_verify_schema_error(tmp_path, capsys):
@@ -285,6 +311,13 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, capsys):
                  ["verify", "--graph", gp, "--coloring", str(deep)]):
         assert main(args) == 2
         assert_one_line(capsys.readouterr().err, "parse error:")
+    # a graph6 file of blank lines holds no graph
+    blank = tmp_path / "blank.g6"
+    blank.write_text("\n  \n\n", encoding="utf-8")
+    for args in (["chi", "--graph", str(blank)],
+                 ["verify", "--graph", str(blank), "--coloring", str(doc)]):
+        assert main(args) == 2
+        assert_one_line(capsys.readouterr().err, "parse error: empty graph6 text")
 
 
 def test_gen_command(tmp_path, capsys):

@@ -81,6 +81,7 @@ def test_connected_filter():
 
 
 def test_everything_enumerated_is_subcubic_and_distinct():
+    assert enumerate_subcubic(0) == () and canonical_form(new_graph(0)) == (0, ())
     for n in range(1, 8):
         level = enumerate_subcubic(n)
         assert all(g.n == n and max_degree(g) <= 3 for g in level)

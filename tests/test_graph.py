@@ -36,6 +36,8 @@ def test_new_graph_rejects_bad_edges():
         new_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(EndpointOutOfRangeError):
         new_graph(2, [(0, 2)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        new_graph(-1)
 
 
 def test_max_degree():
@@ -183,6 +185,12 @@ def test_corona_map_roles_partition():
     assert roles[:3] == [GVertex(1), GVertex(2), GVertex(3)]
     assert roles[3] == CopyVertex(1, 1) and roles[-1] == CopyVertex(3, 4)
     assert cmap.copy_vertex(2, 3) == 3 + 4 + 2
+    for j, i in ((0, 1), (4, 1), (1, 0), (1, 5)):
+        with pytest.raises(ValueError, match="copy grid"):
+            cmap.copy_vertex(j, i)
+    for x in (-1, cmap.n):
+        with pytest.raises(ValueError, match="outside"):
+            cmap.role(x)
 
 
 def test_gen_random_subcubic():

@@ -41,7 +41,7 @@ from coronacolor.errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
-from coronacolor.graphio import MAX_EDGE_LIST_VERTICES
+from coronacolor.graphio import MAX_EDGE_LIST_VERTICES, graph6_length
 from oracles import reference_emit_coloring_json
 
 
@@ -89,6 +89,8 @@ def test_graph6_round_trip_against_networkx_all_n_le_6():
 def test_graph6_long_size_form():
     g = new_graph(70, [(0, 69)])
     assert parse_graph6(emit_graph6(g)) == g
+    with pytest.raises(ValueError, match="too large for graph6"):
+        graph6_length(2**36)
 
 
 def test_graph6_round_trip_memory_is_a_small_multiple_of_the_text():
@@ -221,6 +223,21 @@ def test_coloring_json_rejects_bad_documents():
         parse_coloring_json('{"n": 2, "edges": [[0, 1]], "vertex_colors": [1], "edge_colors": [3], "max_color": 3}')
     with pytest.raises(SchemaViolationError, match="nonnegative"):
         parse_coloring_json('{"n": -1, "edges": [], "vertex_colors": [], "edge_colors": [], "max_color": 1}')
+    # an int past sys.get_int_max_str_digits() digits, which json.loads
+    # refuses with a plain ValueError
+    with pytest.raises(SchemaViolationError, match="invalid JSON"):
+        parse_coloring_json(good.replace('"n": 2', '"n": ' + "9" * 5000))
+    for raw_map, why in (
+        ("[1, 1]", "corona_map must be"),
+        ('{"n_g": 1}', "corona_map must be"),
+        ('{"n_g": 1, "n_h": 1, "n": 2}', "corona_map must be"),
+        ('{"n_g": 2, "n_h": 1}', "inconsistent"),  # 2 * (1 + 1) != 2
+        ('{"n_g": 1, "n_h": 0}', "inconsistent"),
+    ):
+        with pytest.raises(SchemaViolationError, match=why):
+            parse_coloring_json(good.replace('"corona_map": null', f'"corona_map": {raw_map}'))
+    ok_map = good.replace('"corona_map": null', '"corona_map": {"n_g": 1, "n_h": 1}')
+    assert parse_coloring_json(ok_map).corona_map == CoronaMap(1, 1)
     # nesting past the decoder's recursion limit, as arrays and as objects
     for deep in ("[" * 1000 + "]" * 1000, '{"a":' * 100_000 + "1" + "}" * 100_000):
         with pytest.raises(SchemaViolationError, match="invalid JSON"):

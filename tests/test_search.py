@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from coronacolor import (
+    TotalColoring,
     base_coloring,
     chi_prod_exact,
     corona,
@@ -265,6 +266,9 @@ def test_budget_exceeded_is_distinct_from_not_found(monkeypatch):
 def test_argument_validation():
     with pytest.raises(ValueError):
         npdtc_search(k(2), 0)
+    # a palette below Delta+1 has no coloring; the empty graph needs no color
+    assert npdtc_search(new_graph(3, [(0, 1), (1, 2)]), 2) is None
+    assert npdtc_search(new_graph(0), 1) == TotalColoring((), (), 1)
 
 
 def test_p3_has_a_three_coloring():
