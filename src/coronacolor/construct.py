@@ -74,18 +74,6 @@ def sort_by_product(ecol: tuple[int, ...], h: Graph) -> tuple[int, ...]:
     return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
 
 
-def case1_color(s_min: frozenset[int]) -> tuple[int, str]:
-    """Position-1 color and case when max_degree(G) is 1, from s_min, the edge
-    colors at sigma[0]: 4 (Case1_2) while 4 misses sigma[0], else beta, the
-    smallest color of {1,2,3} missing there (Case1_1)."""
-    if 4 not in s_min:
-        return 4, CASE_1_2
-    free = {1, 2, 3} - s_min
-    if not free:
-        raise AssertionError("no color of {1,2,3} misses the minimum-product vertex")
-    return min(free), CASE_1_1
-
-
 def min_copy_color(v: int, base: TotalColoring, s_min: frozenset[int], v_star: int) -> int:
     """alpha_j, the Case2 color of copy v+1's minimum vertex sigma[0]: the
     smallest c of 1..5 missing from s_min, the set of edge colors at
@@ -134,10 +122,12 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
-    The case is decided once per call: Case2 when max_degree(g) >= 2, by
-    ``case1_color`` when it is 1, and Fallback for isolated vertices or an
-    empty h, whose corona is g, colored by g's base coloring.  Otherwise one
-    walk over g's vertices writes the colors in the corona's canonical edge
+    The case is decided once per call: Case2 when max_degree(g) >= 2, and
+    when it is 1, the first of 4, 1, 2, 3 free at sigma[0] (on none of h's
+    edges there; h is subcubic, so one is) colors position 1: 4 in Case1_2,
+    beta in Case1_1.  Fallback covers isolated vertices and an empty h,
+    whose corona is g, colored by g's base coloring.  Otherwise one walk
+    over g's vertices writes the colors in the corona's canonical edge
     order: v's g-edges to larger vertices, in base colors or beta (Case1_1,
     its ends then the other two of {1,2,3}), v's spokes and v's copy of the
     ladder; then the copy edges repeat h's edge coloring.  One verifier pass
@@ -165,7 +155,8 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         for pos, u in enumerate(sigma, 1):
             ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
         if dg == 1:
-            first, case = case1_color(s_min)
+            first = next(c for c in (4, 1, 2, 3) if c not in s_min)
+            case = CASE_1_2 if first == 4 else CASE_1_1
         elif dg:
             case = CASE_2
             # min_copy_color's v_star: star products in the base coloring, spokes 2..4

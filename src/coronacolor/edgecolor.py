@@ -14,11 +14,14 @@ def vizing_color(h: Graph) -> tuple[int, ...]:
     """Proper edge coloring with the fixed palette 1..max_degree(h)+1, one
     color per edge in canonical edge order (as in ``Graph.edges``).
 
-    Edges are inserted in canonical order.  When no color is free at both
-    endpoints, a maximal fan is built at the first endpoint, walking its
-    neighbors in adjacency order, and recolored, inverting one two-colored
-    alternating path if needed.  Ties always break to the lowest color and the
-    smallest vertex, so the output is a deterministic function of the graph.
+    The fan algorithm of Misra and Gries: edges are inserted in canonical
+    order, and each is given a color with a maximal fan at its first endpoint
+    u, built by walking u's neighbors in adjacency order.  With c free at u
+    and d free at the fan's last vertex, the c/d path from u is inverted when
+    d is on an edge at u; the fan then rotates up to its first vertex where d
+    is free, and that vertex's edge to u takes d.  Ties always break to the
+    lowest color and the smallest vertex, so the output is a deterministic
+    function of the graph.
     Each color is stored once, in one map per vertex from color to the
     neighbor across that edge; an insertion reads the first endpoint's colors
     by neighbor from a snapshot of its map, taken again after an inversion.
@@ -51,36 +54,21 @@ def vizing_color(h: Graph) -> tuple[int, ...]:
     for u, v in h.edges:
         col_u = {w: c for c, w in at[u].items()}  # neighbor -> color of its edge to u
         fan = [v]
-        in_fan = {v}
         while True:
-            last = fan[-1]
-            nxt = None
             for w in h.adj[u]:
-                if w in in_fan:
-                    continue
-                cw = col_u.get(w)
-                if cw is not None and cw not in at[last]:
-                    nxt = w
+                if w not in fan and w in col_u and col_u[w] not in at[fan[-1]]:
+                    fan.append(w)
                     break
-            if nxt is None:
+            else:
                 break
-            fan.append(nxt)
-            in_fan.add(nxt)
         c = free(u)
         d = free(fan[-1])
         if c != d and d in at[u]:
             invert_path(u, c, d)
             col_u = {w: c for c, w in at[u].items()}
-        # shortest fan prefix that stays a fan and ends where d is free
-        w_idx = None
-        for i, x in enumerate(fan):
-            if d in at[x]:
-                continue
-            if all(col_u[fan[j]] not in at[fan[j - 1]] for j in range(1, i + 1)):
-                w_idx = i
-                break
-        if w_idx is None:
-            raise AssertionError("fan recoloring failed")
+        # the first d-free vertex closes a fan: the inversion turns only (u, fan[j]) from d to c, and
+        # fan[j-1], once d-free, loses d only as the path's far end, then c-free; it or fan[-1] keeps d
+        w_idx = next(i for i, x in enumerate(fan) if d not in at[x])
         # u-fan[j] hands its color to u-fan[j-1]; u-fan[0] is the uncolored
         # edge being inserted, and each later one was uncolored the step before
         for j in range(1, w_idx + 1):

@@ -190,8 +190,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     if h.n == 0:
         return g, cmap
     # copy j's vertices in h's order: int objects the edges below share
-    copies = [tuple(range(base, base + h.n))
-              for base in (cmap.copy_vertex(j, 1) for j in range(1, g.n + 1))]
+    copies = [tuple(range(base, base + h.n)) for base in range(g.n, cmap.n, h.n)]
     edges: list[tuple[int, int]] = []
     for v, copy in enumerate(copies):
         edges += [(v, w) for w in g.adj[v] if w > v]
@@ -223,4 +222,4 @@ def gen_random_subcubic(n: int, seed: int) -> Graph:
         present.add(e)
         deg[a] += 1
         deg[b] += 1
-    return new_graph(n, present)
+    return Graph(n, tuple(sorted(present)))

@@ -18,6 +18,7 @@ from coronacolor import (
     gen_random_subcubic,
     max_degree,
     new_graph,
+    parse_coloring_json,
     parse_graph6,
     verify_npd,
 )
@@ -174,6 +175,13 @@ def test_chi_command(tmp_path, capsys):
     single = write_g6(tmp_path / "one.g6", new_graph(1))
     assert main(["chi", "--graph", single]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "1"
+    # without --out the witness document follows the number on stdout
+    assert main(["chi", "--graph", gp]) == 0
+    first, rest = capsys.readouterr().out.split("\n", 1)
+    assert first == "3"
+    doc = parse_coloring_json(rest)
+    assert doc.graph == k(2) and doc.coloring.max_color == 3
+    assert verify_npd(doc.graph, doc.coloring).ok
     c4 = write_g6(tmp_path / "c4.g6", new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert main(["chi", "--graph", c4, "--out", str(wit)]) == 0
     assert int(capsys.readouterr().out.strip()) <= 5

@@ -29,10 +29,14 @@ from coronacolor import (
 from coronacolor.errors import NotSubcubicError
 from oracles import cycle, k, product_at
 
-# the only subcubic H with at most 6 vertices whose edge coloring puts color 4
-# on the minimum-product vertex, so K2∘H takes Case1_1 (found by the scan test
-# below)
+# the only subcubic H with at most 6 vertices, as enumerate_subcubic labels
+# them, whose edge coloring puts color 4 on the minimum-product vertex, so
+# K2∘H takes Case1_1 (found by the scan test below)
 CASE11_H = "EUxo"
+# a 6-vertex H in another labeling whose edge coloring leaves only 1 and 4 at
+# the minimum-product vertex: two of {1,2,3} are free there, and beta is the
+# smaller (found by a random search over gen_random_subcubic graphs)
+CASE11_TWO_FREE_H = "Ekcw"
 # a leaf-rich G whose corona with K1 needs alpha to avoid v_j's star product:
 # a leaf with base color 1 and edge color 2 has star product 2, which the
 # first two conditions on alpha alone would pick (shrunk by hypothesis)
@@ -202,23 +206,26 @@ def test_case11_scan_finds_the_frozen_instance():
 
 
 def test_case11_frozen_instance():
-    h = parse_graph6(CASE11_H)
-    res = color_corona(k(2), h)
-    assert res.trace.case_tag == CASE_1_1
-    assert res.coloring.max_color <= res.trace.palette_bound
-    assert verify_npd(res.graph, res.coloring).ok
-    # beta colors the component edge; its ends take the other two of {1,2,3}
-    # and the minimum copy vertices share beta
-    eidx = {e: t for t, e in enumerate(res.graph.edges)}
-    beta = res.coloring.edge_colors[eidx[(0, 1)]]
-    assert beta in (1, 2, 3)
-    assert sorted(res.coloring.vertex_colors[:2]) == sorted({1, 2, 3} - {beta})
-    u_min = res.trace.sigma[0]
-    for j in (1, 2):
-        cu = res.corona_map.copy_vertex(j, u_min + 1)
-        assert res.coloring.vertex_colors[cu] == beta
-        key = tuple(sorted((j - 1, cu)))
-        assert res.coloring.edge_colors[eidx[key]] == 5
+    for g6 in (CASE11_H, CASE11_TWO_FREE_H):
+        h = parse_graph6(g6)
+        res = color_corona(k(2), h)
+        assert res.trace.case_tag == CASE_1_1
+        assert res.coloring.max_color <= res.trace.palette_bound
+        assert verify_npd(res.graph, res.coloring).ok
+        # beta colors the component edge; its ends take the other two of {1,2,3}
+        # and the minimum copy vertices share beta
+        eidx = {e: t for t, e in enumerate(res.graph.edges)}
+        beta = res.coloring.edge_colors[eidx[(0, 1)]]
+        # beta is the smallest of {1,2,3} on no edge at sigma[0] in h's edge coloring
+        s_min = edge_colors_at(h, vizing_color(h), res.trace.sigma[0])
+        assert beta == min({1, 2, 3} - s_min), g6
+        assert sorted(res.coloring.vertex_colors[:2]) == sorted({1, 2, 3} - {beta})
+        u_min = res.trace.sigma[0]
+        for j in (1, 2):
+            cu = res.corona_map.copy_vertex(j, u_min + 1)
+            assert res.coloring.vertex_colors[cu] == beta
+            key = tuple(sorted((j - 1, cu)))
+            assert res.coloring.edge_colors[eidx[key]] == 5
 
 
 def test_case2_strict_product_chain():

@@ -200,6 +200,12 @@ def test_gen_random_subcubic():
     assert max_degree(gen_random_subcubic(50, 7)) <= 3
     for seed in range(20):
         assert max_degree(gen_random_subcubic(25, seed)) <= 3
+    # gen builds its Graph from its own sorted pairs, unvalidated: new_graph
+    # on the same pairs, reversed, which checks and sorts them, must agree
+    for n in (1, 2, 3, 7, 25, 60, 500):
+        for seed in range(4):
+            g = gen_random_subcubic(n, seed)
+            assert g == new_graph(n, [(b, a) for a, b in reversed(g.edges)]), (n, seed)
 
 
 def test_components_and_subgraph():
