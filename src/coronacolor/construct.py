@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .edgecolor import edge_colors_at, vizing_color
-from .graph import (CoronaMap, Graph, TotalColoring, connected_components, corona, max_degree,
-                    require_subcubic)
+from .graph import (CoronaMap, Graph, TotalColoring, collector_paused, connected_components,
+                    corona, max_degree, require_subcubic)
 from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches these
 from .search import base_coloring, npdtc_search  # npdtc_search likewise
 from .verify import star_products, verify_npd
@@ -118,6 +118,7 @@ def cone_colors(h: Graph, ecol: tuple[int, ...], u: int, ladder: list[int],
     return c, hub
 
 
+@collector_paused
 def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.

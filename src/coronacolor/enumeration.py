@@ -106,6 +106,7 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
             pos[v] = -1
 
     dfs(0, False)
+    del dfs  # dfs refers to itself through its closure cell: unbinding it breaks the cycle
     assert best is not None
     return (n, tuple(best))
 

@@ -17,7 +17,7 @@ from .errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
-from .graph import CoronaMap, Graph, GVertex, TotalColoring
+from .graph import CoronaMap, Graph, GVertex, TotalColoring, collector_paused
 from .verify import check_cover
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -268,6 +268,7 @@ def _as_int(payload: dict, key: str) -> int:
     return x
 
 
+@collector_paused
 def parse_coloring_json(text: str) -> ColoringDocument:
     """Parse and validate a coloring document; the inverse of emit_coloring_json.
     One loop checks each edge's shape, range and canonical order, one each color list's
