@@ -23,6 +23,7 @@ coloring; a violation is an internal error, never repaired.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,7 +170,7 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         earr: list[int] = []
         t = 0  # v's g-edges to larger vertices are the next of base.edge_colors
         for v, nb in enumerate(g.adj):
-            up = sum(w > v for w in nb)
+            up = len(nb) - bisect(nb, v)  # nb is ascending
             if case == CASE_1_1 and up:
                 vcol[v], vcol[nb[0]] = sorted({1, 2, 3} - {first})
                 earr.append(first)

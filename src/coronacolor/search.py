@@ -66,11 +66,18 @@ def _order_and_ahead(conf: list[list[int]]) -> tuple[list[int], list[list[int]]]
 
     The pair (score, degree) is the cell ``score * R + rank``, with rank the
     degree's place among the R distinct degrees, so cells sort as the pairs
-    do.  Each cell is a lazy min-heap of ids, and an element starts in cell
-    rank, filled in ascending ids.  A pointer walks down from the highest
-    cell that may hold an element; a score increase pushes the id R cells
-    up.  Scores only grow, so an element never re-enters a cell it left: a
-    popped id whose element is ordered or in another cell is stale.
+    do.  An element starts in cell rank, and a score increase pushes its id R
+    cells up, so the score-0 cells are filled in ascending ids and only lose
+    elements: they are read in place, by a rank that only moves down and a
+    position in that rank's list.  A cell above them is a lazy min-heap of
+    ids, read from the highest cell ``hi`` that may hold an element; an id
+    whose element is ordered or in another cell is stale.  ``frontier``
+    counts the unordered elements of positive score.  While it is nonzero the
+    next element is in a heap; at zero the ordered elements make up whole
+    components, every id in the heaps is stale, and the cells up to ``hi``
+    are cleared.  The loop stops at the last element.  Each push is popped or
+    cleared once, and ``hi`` rises at most R cells a push, so the order takes
+    O(T + pushes * (R + log T)) steps for T elements.
 
     The table has (D + 1) * R lists for the largest degree D.  Both D and R
     are O(sqrt(S)) for S conflict slots, since the edges at a vertex
@@ -86,15 +93,34 @@ def _order_and_ahead(conf: list[list[int]]) -> tuple[list[int], list[list[int]]]
     push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
     ahead: list[list[int]] = []
-    hi = width - 1
-    while hi >= 0:
-        ids = cells[hi]
-        if not ids:
-            hi -= 1
-            continue
-        e = pop(ids)
-        if cell[e] != hi:
-            continue
+    hi = r = width - 1
+    at = frontier = 0  # the score-0 elements left at rank r are in cells[r][at:]
+    for _ in conf:
+        if frontier:
+            frontier -= 1
+            while True:
+                ids = cells[hi]
+                if ids:
+                    e = pop(ids)
+                    if cell[e] == hi:
+                        break
+                else:
+                    hi -= 1
+        else:
+            while hi >= width:
+                cells[hi].clear()
+                hi -= 1
+            ids = cells[r]
+            while True:
+                if at < len(ids):
+                    e = ids[at]
+                    at += 1
+                    if cell[e] == r:
+                        break
+                else:
+                    r -= 1
+                    ids = cells[r]
+                    at = 0
         cell[e] = -1
         order.append(e)
         fwd = []
@@ -102,6 +128,8 @@ def _order_and_ahead(conf: list[list[int]]) -> tuple[list[int], list[list[int]]]
             c = cell[s]
             if c >= 0:
                 fwd.append(s)
+                if c < width:
+                    frontier += 1
                 c += width
                 cell[s] = c
                 push(cells[c], s)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,38 @@ def test_isolated_vertex_output_is_pinned():
     hs = [*enumerate_subcubic(5), *enumerate_subcubic(6)]
     assert (len(gs), len(hs)) == (19, 85)
     assert output_digest((g, h) for g in gs for h in hs) == (ISOLATED_G_SHA256, 1615)
+
+
+def labeled_subcubic(n):
+    """Every subcubic graph on vertices 0..n-1, labels kept, one per edge set."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        deg = [0] * n
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+        if max(deg) <= 3:
+            yield new_graph(n, edges)
+
+
+# SHA-256 of the same records over K1, K2, P3 and K3 times every labeled
+# subcubic H on 1-6 vertices (12,911 each): the case rule reads H's labels
+# through Vizing's edge coloring, and K2 reaches Case1_1 on 151 labelings,
+# against one canonical labeling per isomorphism class elsewhere
+LABELED_CENSUS_SHA256 = "29688adfef749e0bde14d24b07107f45be866d3942c5d5aec28d67207655ddbe"
+
+
+def test_labeled_census_is_pinned():
+    hs = [h for nh in range(1, 7) for h in labeled_subcubic(nh)]
+    gs = [new_graph(1), k(2), new_graph(3, [(0, 1), (1, 2)]), k(3)]
+    traces = []
+    pinned = output_digest(((g, h) for g in gs for h in hs), traces)
+    assert pinned == (LABELED_CENSUS_SHA256, 4 * 12_911)
+    counts = [Counter(t.case_tag for t in traces[i:i + len(hs)])
+              for i in range(0, len(traces), len(hs))]
+    assert counts == [{FALLBACK: 12_911}, {CASE_1_2: 12_760, CASE_1_1: 151},
+                      {CASE_2: 12_911}, {CASE_2: 12_911}]
 
 
 def test_component_corona_is_the_induced_subgraph():

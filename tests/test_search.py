@@ -1,3 +1,5 @@
+import heapq
+import random
 import tracemalloc
 from itertools import product
 
@@ -74,6 +76,14 @@ def reference_element_order(conf):
     return order
 
 
+def reference_order_and_ahead(conf):
+    """The reference order, and per depth the conflicts of that depth's
+    element placed after it, in conflict-list order."""
+    order = reference_element_order(conf)
+    depth = {e: d for d, e in enumerate(order)}
+    return order, [[s for s in conf[e] if depth[s] > d] for d, e in enumerate(order)]
+
+
 def test_element_order_matches_reference_scan():
     graphs = [g for n in range(1, 8) for g in enumerate_subcubic(n)]
     graphs += [gen_random_subcubic(n, s) for n, s in ((50, 1), (400, 2), (1200, 3), (3000, 4))]
@@ -82,9 +92,19 @@ def test_element_order_matches_reference_scan():
         corona(gen_random_subcubic(gn, s), gen_random_subcubic(hn, s + 1))[0]
         for gn, hn, s in ((4, 5, 1), (6, 3, 2), (10, 7, 3))
     ]
+    # many components, each ending where the order restarts at score 0: a
+    # perfect matching, a random cubic graph beside 500 isolated vertices,
+    # the edgeless graph, and a random G with 12 components
+    cubic = nx.random_regular_graph(3, 500, seed=1)
+    graphs += [
+        new_graph(2000, [(v, v + 1) for v in range(0, 2000, 2)]),
+        new_graph(1000, list(cubic.edges())),
+        new_graph(50),
+        gen_random_subcubic(2000, 2),
+    ]
     for g in graphs:
         conf = _conflict_lists(g)
-        assert _order_and_ahead(conf)[0] == reference_element_order(conf), g.edges
+        assert _order_and_ahead(conf) == reference_order_and_ahead(conf), g.edges
 
 
 def test_element_order_matches_reference_scan_beyond_subcubic():
@@ -95,7 +115,32 @@ def test_element_order_matches_reference_scan_beyond_subcubic():
     for nxg in nx.graph_atlas_g()[1:]:
         g = new_graph(nxg.number_of_nodes(), list(nxg.edges()))
         conf = _conflict_lists(g)
-        assert _order_and_ahead(conf)[0] == reference_element_order(conf), g.edges
+        assert _order_and_ahead(conf) == reference_order_and_ahead(conf), g.edges
+
+
+def test_element_order_pops_no_more_than_it_pushes(monkeypatch):
+    # each ordered element pushes its unordered conflicts once, so pushes are
+    # half the conflict slots; score-0 elements are read in place and stale
+    # ids cleared at a component's end, so no pop is spent beyond the pushes
+    # (9,587 pops for 14,507 pushes on the random G, 16,384 for 24,576 on
+    # the matching; draining every heap popped 19,432 and 49,152)
+    counts = {"push": 0, "pop": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(heapq, "heappush", counted("push", heapq.heappush))
+    monkeypatch.setattr(heapq, "heappop", counted("pop", heapq.heappop))
+    matching = new_graph(1 << 14, [(v, v + 1) for v in range(0, 1 << 14, 2)])
+    for g in (gen_random_subcubic(2000, random.Random(7).randrange(1 << 30)), matching):
+        conf = _conflict_lists(g)
+        counts.update(push=0, pop=0)
+        _order_and_ahead(conf)
+        assert counts["push"] == sum(map(len, conf)) // 2
+        assert counts["pop"] <= counts["push"], (g.n, counts)
 
 
 def test_element_order_setup_memory_on_a_star():
