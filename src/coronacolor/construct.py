@@ -10,14 +10,15 @@ copy rise strictly.  One case rule, decided once per call, gives the vertex
 color at position 1: dg+3 = 4 in Case1_2, beta in Case1_1 (which also
 recolors each edge of G and its ends), the avoidance color alpha_j in Case2,
 and for an isolated vertex, tagged Fallback as outside the paper's cases,
-the choice of ``cone_colors``, which also colors the vertex itself.  Colors
-are written in the corona's canonical edge order: for each vertex of the
-first factor its edges to larger vertices, its spokes and its copy of the
-ladder, then the copy edges, which repeat the second factor's edge
-coloring.  No component is searched: with an empty second factor the corona
-is the first factor, and its base coloring is the whole coloring (tagged
-Fallback).  One verifier pass over the corona checks every returned
-coloring; a violation is an internal error, never repaired.
+the choice of ``cone_colors``, which also colors the vertex itself.  The
+vertex colors are the first factor's, then the ladder once per copy, whose
+position-1 column is written in one strided slice.  The edge colors follow
+the corona's canonical edge order: for each vertex of the first factor its
+edges to larger vertices and its spokes, then the copy edges, which repeat
+the second factor's edge coloring.  No component is searched: with an empty
+second factor the corona is the first factor, and its base coloring is the
+whole coloring (tagged Fallback).  One verifier pass over the corona checks
+every returned coloring; a violation is an internal error, never repaired.
 """
 
 from __future__ import annotations
@@ -128,12 +129,15 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     when it is 1, the first of 4, 1, 2, 3 free at sigma[0] (on none of h's
     edges there; h is subcubic, so one is) colors position 1: 4 in Case1_2,
     beta in Case1_1.  Fallback covers isolated vertices and an empty h,
-    whose corona is g, colored by g's base coloring.  Otherwise one walk
-    over g's vertices writes the colors in the corona's canonical edge
-    order: v's g-edges to larger vertices, in base colors or beta (Case1_1,
-    its ends then the other two of {1,2,3}), v's spokes and v's copy of the
-    ladder; then the copy edges repeat h's edge coloring.  One verifier pass
-    over the corona checks the result; a violation is an internal error.
+    whose corona is g, colored by g's base coloring.  Otherwise the vertex
+    colors are g's base colors and then the ladder once per copy, and one
+    strided slice writes each copy's position-1 color (the case's, or the
+    cone's).  One walk over g's vertices writes the edge colors in the
+    corona's canonical edge order, v's g-edges to larger vertices in base
+    colors or beta (Case1_1, its ends then the other two of {1,2,3}) and v's
+    spokes, and colors each cone's hub; then the copy edges repeat h's edge
+    coloring.  One verifier pass over the corona checks the result; a
+    violation is an internal error.
     """
     require_subcubic(g)
     require_subcubic(h)
@@ -165,8 +169,14 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
             star = star_products(base.vertex_colors, g, base.edge_colors)
             tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
         if not all(g.adj):
-            cone = cone_colors(h, ecol, sigma[0], ladder, spokes)
-        vcol = list(base.vertex_colors)
+            cone, hub = cone_colors(h, ecol, sigma[0], ladder, spokes)
+        if case == CASE_2:
+            firsts = [min_copy_color(v, base, s_min, star[v] * tail) if nb else cone
+                      for v, nb in enumerate(g.adj)]
+        else:  # Case 1, or dg = 0 and every vertex a cone's hub
+            firsts = [first if nb else cone for nb in g.adj]
+        vcol = list(base.vertex_colors) + ladder * g.n
+        vcol[g.n + sigma[0]::h.n] = firsts  # copy j's position 1
         earr: list[int] = []
         t = 0  # v's g-edges to larger vertices are the next of base.edge_colors
         for v, nb in enumerate(g.adj):
@@ -178,13 +188,8 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
                 earr += base.edge_colors[t:t + up]
             t += up
             earr += spokes
-            if not nb:  # the hub of a cone
-                ladder[sigma[0]], vcol[v] = cone
-            elif case == CASE_2:
-                ladder[sigma[0]] = min_copy_color(v, base, s_min, star[v] * tail)
-            else:
-                ladder[sigma[0]] = first
-            vcol += ladder
+            if not nb:
+                vcol[v] = hub
         earr += ecol * g.n
         coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr)))
     report = verify_npd(cg, coloring)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import random
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -206,10 +207,11 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     """Corona product: one copy of g plus g.n copies of h, v_j joined to all of copy j.
 
     The graph is built directly in canonical order, with no sort or
-    revalidation: for each v_j in turn, its g-edges to larger vertices and
-    then its spokes in copy order, followed by each copy's shifted h.edges.
-    color_corona writes its colors in that order.  No adjacency is built
-    unless read.  With an empty second factor the product is g itself.
+    revalidation, in two comprehensions: one over the v_j, each one's g-edges
+    to larger vertices and then its spokes in copy order, and one over the
+    copies, each one's shifted h.edges.  color_corona writes its edge colors
+    in that order.  No adjacency is built unless read.  With an empty second
+    factor the product is g itself.
     """
     if g.n < 1:
         raise ValueError("corona needs at least one vertex in the first factor")
@@ -218,12 +220,9 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
         return g, cmap
     # copy j's vertices in h's order: int objects the edges below share
     copies = [tuple(range(base, base + h.n)) for base in range(g.n, cmap.n, h.n)]
-    edges: list[tuple[int, int]] = []
-    for v, copy in enumerate(copies):
-        edges += [(v, w) for w in g.adj[v] if w > v]
-        edges += [(v, x) for x in copy]
-    for copy in copies:
-        edges += [(copy[a], copy[b]) for a, b in h.edges]
+    # v's neighbours past v (adj ascends), then its spokes; then the copies' edges
+    edges = [(v, w) for v, nb in enumerate(g.adj) for w in nb[bisect(nb, v):] + copies[v]]
+    edges += [(copy[a], copy[b]) for copy in copies for a, b in h.edges]
     return Graph(cmap.n, tuple(edges)), cmap
 
 

@@ -22,6 +22,11 @@ canonical form and the augmentation closure before the twin prunes: every
 refinement-respecting vertex order is searched, every subset of a parent's
 open vertices is joined to the new vertex, and the connected family is the
 whole level filtered, so the pruned ones must agree with them exactly.
+``reference_corona_by_vertex`` and ``reference_color_corona`` are the corona
+build and the corona coloring in their earlier form, which walk v_j in turn:
+per v_j three list comprehensions of edges, and a fresh copy of the ladder
+with that v_j's position-1 color; the whole-array build must give the same
+``ColorResult`` on every input.
 ``k`` and ``cycle`` build the complete graph and the cycle on n vertices
 that several test modules use.
 """
@@ -29,6 +34,8 @@ that several test modules use.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
@@ -42,6 +49,21 @@ from coronacolor import (
     max_degree,
     new_graph,
 )
+from coronacolor.construct import (
+    CASE_1_1,
+    CASE_1_2,
+    CASE_2,
+    FALLBACK,
+    ColorResult,
+    ConstructionTrace,
+    cone_colors,
+    min_copy_color,
+    sort_by_product,
+)
+from coronacolor.edgecolor import edge_colors_at, vizing_color
+from coronacolor.graph import collector_paused, require_subcubic
+from coronacolor.search import base_coloring
+from coronacolor.verify import star_products, verify_npd
 from coronacolor.errors import (
     BadCharError,
     BudgetExceededError,
@@ -547,3 +569,111 @@ def reference_enumerate_subcubic(n: int, connected: bool = False) -> tuple[Graph
     if connected:
         return tuple(g for g in level if len(connected_components(g)) <= 1)
     return level
+
+
+def reference_corona_by_vertex(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
+    """The earlier ``corona``, which takes v_j in turn.  Its own docstring follows.
+
+    Corona product: one copy of g plus g.n copies of h, v_j joined to all of copy j.
+
+    The graph is built directly in canonical order, with no sort or
+    revalidation: for each v_j in turn, its g-edges to larger vertices and
+    then its spokes in copy order, followed by each copy's shifted h.edges.
+    color_corona writes its colors in that order.  No adjacency is built
+    unless read.  With an empty second factor the product is g itself.
+    """
+    if g.n < 1:
+        raise ValueError("corona needs at least one vertex in the first factor")
+    cmap = CoronaMap(g.n, h.n)
+    if h.n == 0:
+        return g, cmap
+    # copy j's vertices in h's order: int objects the edges below share
+    copies = [tuple(range(base, base + h.n)) for base in range(g.n, cmap.n, h.n)]
+    edges: list[tuple[int, int]] = []
+    for v, copy in enumerate(copies):
+        edges += [(v, w) for w in g.adj[v] if w > v]
+        edges += [(v, x) for x in copy]
+    for copy in copies:
+        edges += [(copy[a], copy[b]) for a, b in h.edges]
+    return Graph(cmap.n, tuple(edges)), cmap
+
+
+@collector_paused
+def reference_color_corona(g: Graph, h: Graph) -> ColorResult:
+    """The earlier ``color_corona``, which appends a copy of the ladder per
+    v_j, on ``reference_corona_by_vertex``.  Its own docstring follows.
+
+    Build g∘h and a verified distinguishing total coloring within
+    max_degree(g∘h)+3 colors.
+
+    The case is decided once per call: Case2 when max_degree(g) >= 2, and
+    when it is 1, the first of 4, 1, 2, 3 free at sigma[0] (on none of h's
+    edges there; h is subcubic, so one is) colors position 1: 4 in Case1_2,
+    beta in Case1_1.  Fallback covers isolated vertices and an empty h,
+    whose corona is g, colored by g's base coloring.  Otherwise one walk
+    over g's vertices writes the colors in the corona's canonical edge
+    order: v's g-edges to larger vertices, in base colors or beta (Case1_1,
+    its ends then the other two of {1,2,3}), v's spokes and v's copy of the
+    ladder; then the copy edges repeat h's edge coloring.  One verifier pass
+    over the corona checks the result; a violation is an internal error.
+    """
+    require_subcubic(g)
+    require_subcubic(h)
+    cg, cmap = reference_corona_by_vertex(g, h)
+    dg = max_degree(g)
+    # v_j has degree dg+|V(h)| at most, which no copy vertex's deg+1 <= |V(h)| exceeds
+    bound = dg + h.n + 3
+    base = base_coloring(g)
+    case, sigma, coloring = FALLBACK, (), base
+    if h.n:
+        vizing = vizing_color(h)
+        # dg = 0: trade colors 4 and the first c of 4, 3, 2, 1 keeping 4 off sigma[:2]'s edges
+        for c in (4, 3, 2, 1):
+            ecol = tuple({4: c, c: 4}.get(x, x) for x in vizing) if c < 4 else vizing
+            sigma = sort_by_product(ecol, h)
+            if dg or all(4 not in edge_colors_at(h, ecol, u) for u in sigma[:2]):
+                break
+        s_min = edge_colors_at(h, ecol, sigma[0])
+        # copy j's vertex colors and spokes in h's vertex order
+        ladder, spokes = [0] * h.n, [0] * h.n
+        for pos, u in enumerate(sigma, 1):
+            ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
+        if dg == 1:
+            first = next(c for c in (4, 1, 2, 3) if c not in s_min)
+            case = CASE_1_2 if first == 4 else CASE_1_1
+        elif dg:
+            case = CASE_2
+            # min_copy_color's v_star: star products in the base coloring, spokes 2..4
+            star = star_products(base.vertex_colors, g, base.edge_colors)
+            tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
+        if not all(g.adj):
+            cone = cone_colors(h, ecol, sigma[0], ladder, spokes)
+        vcol = list(base.vertex_colors)
+        earr: list[int] = []
+        t = 0  # v's g-edges to larger vertices are the next of base.edge_colors
+        for v, nb in enumerate(g.adj):
+            up = len(nb) - bisect(nb, v)  # nb is ascending
+            if case == CASE_1_1 and up:
+                vcol[v], vcol[nb[0]] = sorted({1, 2, 3} - {first})
+                earr.append(first)
+            else:
+                earr += base.edge_colors[t:t + up]
+            t += up
+            earr += spokes
+            if not nb:  # the hub of a cone
+                ladder[sigma[0]], vcol[v] = cone
+            elif case == CASE_2:
+                ladder[sigma[0]] = min_copy_color(v, base, s_min, star[v] * tail)
+            else:
+                ladder[sigma[0]] = first
+            vcol += ladder
+        earr += ecol * g.n
+        coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr)))
+    report = verify_npd(cg, coloring)
+    if not report.ok:
+        raise AssertionError(f"constructed coloring failed verification: {report.violations[:3]}")
+    if coloring.max_color > bound:
+        raise AssertionError(f"{coloring.max_color} colors exceed bound {bound}")
+    cases = [(comp, case if len(comp) > 1 else FALLBACK) for comp in connected_components(g)]
+    trace = ConstructionTrace(sigma, tuple(cases), bound)
+    return ColorResult(cg, cmap, coloring, trace)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -29,7 +30,7 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.errors import NotSubcubicError
-from oracles import cycle, k, product_at
+from oracles import cycle, k, product_at, reference_color_corona
 
 # the only subcubic H with at most 6 vertices, as enumerate_subcubic labels
 # them, whose edge coloring puts color 4 on the minimum-product vertex, so
@@ -451,6 +452,28 @@ def test_color_corona_property(g, h):
         # the structured rules cover every component; an isolated vertex's cone
         # is tagged Fallback, as outside the paper's cases
         assert list(res.trace.component_cases) == dispatch_rule(g, h, res)
+    assert res == reference_color_corona(g, h)
+
+
+def test_color_corona_matches_reference_walk_at_scale():
+    # inputs no pinned small pair reaches, against the build that walks v_j
+    # in turn: random G with isolated vertices (Case2 copies beside cones), a
+    # perfect matching in both Case 1 paths, a leafy G with isolated vertices
+    # times K1 and 2K1 (cones of one and two vertices), and an edgeless G
+    rng = random.Random(0)
+    leafy = disjoint_union([parse_graph6(LEAFY_G)] * 100 + [new_graph(1)] * 20,
+                           rng.sample(range(620), 620))
+    matching = new_graph(2000, [(v, v + 1) for v in range(0, 2000, 2)])
+    pairs = [(gen_random_subcubic(2000, s), gen_random_subcubic(10, 3)) for s in (2, 3, 4)]
+    pairs += [(matching, parse_graph6(h)) for h in (CASE11_H, CASE11_TWO_FREE_H)]
+    pairs += [(matching, k(2)), (leafy, new_graph(1)), (leafy, new_graph(2)),
+              (new_graph(50), new_graph(4, [(0, 1), (1, 2), (2, 3)]))]
+    tags = []
+    for g, h in pairs:
+        res = color_corona(g, h)
+        assert res == reference_color_corona(g, h)
+        tags.append(res.trace.case_tag)
+    assert tags == [MIXED] * 3 + [CASE_1_1] * 2 + [CASE_1_2, MIXED, MIXED, FALLBACK]
 
 
 def test_structured_corpus_needs_no_search(monkeypatch):
