@@ -1,8 +1,11 @@
 """Simple undirected graphs, total colorings, corona products and bounded generation.
 
-Vertices are dense integers 0..n-1.  Edges are unordered pairs stored as
-sorted tuples in lexicographic order, which fixes the canonical edge order
-used throughout the package; a graph is n and that edge list alone.
+Vertices are dense integers 0..n-1.  Edges are unordered pairs, each with
+its smaller end first, in lexicographic order, which fixes the canonical
+edge order used throughout the package.  A graph is n and two int columns,
+the smaller and the larger end of each edge in that order: the writers fill
+the columns and build no pair tuple, and the pairs (``edges``) and the
+adjacency are derived on first read.
 """
 
 from __future__ import annotations
@@ -49,19 +52,43 @@ def collector_paused(fn: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
-    """Immutable simple undirected graph: n and its canonical edges, which
-    alone set equality and hashing; adj is derived on first read and kept."""
+    """Immutable simple undirected graph: n and its canonical edges as two
+    int columns, lo[t] < hi[t] the ends of edge t, which alone set equality
+    and hashing.  Graph(n, pairs) takes canonical pairs and keeps them as its
+    edges; writers that have the columns use Graph.from_columns.  The pairs
+    and the adjacency are otherwise derived on first read and kept."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    lo: list[int]
+    hi: list[int]
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        pairs = tuple(edges)
+        vars(self).update(n=n, lo=[a for a, _ in pairs], hi=[b for _, b in pairs], edges=pairs)
+
+    @classmethod
+    def from_columns(cls, n: int, lo: list[int], hi: list[int]) -> Graph:
+        g = cls.__new__(cls)
+        vars(g).update(n=n, lo=lo, hi=hi)
+        return g
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.lo), tuple(self.hi)))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={tuple(zip(self.lo, self.hi))!r})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.lo, self.hi))
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         # lexicographic edges give each vertex its neighbours in sorted order
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
+        for a, b in zip(self.lo, self.hi):
             nbrs[a].append(b)
             nbrs[b].append(a)
         return tuple(map(tuple, nbrs))
@@ -81,23 +108,27 @@ class TotalColoring:
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Validate an unordered pair list; the graph keeps its canonical edges.
-    The checked pairs are sorted as a list, which is linear on canonical input."""
+    Each pair is checked as its key a*n+b (a < b), and the sorted keys give
+    the columns."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    seen: set[tuple[int, int]] = set()
-    kept: list[tuple[int, int]] = []
+    seen: set[int] = set()
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"edge ({a},{b}) has an endpoint outside 0..{n - 1}")
         if a == b:
             raise SelfLoopError(f"self-loop at vertex {a}")
-        e = (a, b) if a < b else (b, a)
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge {e}")
-        seen.add(e)
-        kept.append(e)
-    kept.sort()
-    return Graph(n, tuple(kept))
+        key = a * n + b if a < b else b * n + a
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge {divmod(key, n)}")
+        seen.add(key)
+    return graph_from_keys(n, seen)
+
+
+def graph_from_keys(n: int, keys: Iterable[int]) -> Graph:
+    """The graph whose edges have the keys a*n+b (a < b)."""
+    keys = sorted(keys)
+    return Graph.from_columns(n, [k // n for k in keys], [k % n for k in keys])
 
 
 def max_degree(g: Graph) -> int:
@@ -206,11 +237,12 @@ class CoronaMap:
 def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     """Corona product: one copy of g plus g.n copies of h, v_j joined to all of copy j.
 
-    The graph is built directly in canonical order, with no sort or
-    revalidation, in two comprehensions: one over the v_j, each one's g-edges
-    to larger vertices and then its spokes in copy order, and one over the
-    copies, each one's shifted h.edges.  color_corona writes its edge colors
-    in that order.  No adjacency is built unless read.  With an empty second
+    The graph's columns are built directly in canonical order, with no sort,
+    revalidation or pair tuple, in two comprehensions each: one over the v_j,
+    each one's g-edges to larger vertices and then its spokes in copy order,
+    and one over the copies, each one's shifted h edges.  The larger ends
+    share the copies' int objects.  color_corona writes its edge colors in
+    that order.  No adjacency is built unless read.  With an empty second
     factor the product is g itself.
     """
     if g.n < 1:
@@ -218,12 +250,14 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     cmap = CoronaMap(g.n, h.n)
     if h.n == 0:
         return g, cmap
-    # copy j's vertices in h's order: int objects the edges below share
+    # copy j's vertices in h's order: int objects the columns below share
     copies = [tuple(range(base, base + h.n)) for base in range(g.n, cmap.n, h.n)]
     # v's neighbours past v (adj ascends), then its spokes; then the copies' edges
-    edges = [(v, w) for v, nb in enumerate(g.adj) for w in nb[bisect(nb, v):] + copies[v]]
-    edges += [(copy[a], copy[b]) for copy in copies for a, b in h.edges]
-    return Graph(cmap.n, tuple(edges)), cmap
+    hi = [w for v, nb in enumerate(g.adj) for w in nb[bisect(nb, v):] + copies[v]]
+    lo = [v for v, nb in enumerate(g.adj) for _ in range(len(nb) - bisect(nb, v) + h.n)]
+    lo += [copy[a] for copy in copies for a in h.lo]
+    hi += [copy[b] for copy in copies for b in h.hi]
+    return Graph.from_columns(cmap.n, lo, hi), cmap
 
 
 def gen_random_subcubic(n: int, seed: int) -> Graph:
@@ -236,16 +270,16 @@ def gen_random_subcubic(n: int, seed: int) -> Graph:
         raise ValueError("need at least one vertex")
     rng = random.Random(seed)
     deg = [0] * n
-    present: set[tuple[int, int]] = set()
+    present: set[int] = set()  # the edges' keys a*n+b, a < b
     for _ in range(12 * n):
         a = rng.randrange(n)
         b = rng.randrange(n)
         if a == b or deg[a] >= 3 or deg[b] >= 3:
             continue
-        e = (a, b) if a < b else (b, a)
-        if e in present:
+        key = a * n + b if a < b else b * n + a
+        if key in present:
             continue
-        present.add(e)
+        present.add(key)
         deg[a] += 1
         deg[b] += 1
-    return Graph(n, tuple(sorted(present)))
+    return graph_from_keys(n, present)

@@ -17,7 +17,7 @@ from .errors import (
     TrailingGarbageError,
     TruncatedPayloadError,
 )
-from .graph import CoronaMap, Graph, GVertex, TotalColoring, collector_paused
+from .graph import CoronaMap, Graph, GVertex, TotalColoring, collector_paused, graph_from_keys
 from .verify import check_cover
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -91,8 +91,8 @@ def parse_graph6(line: str) -> Graph:
         if pad and (data[-1] - 63) & ((1 << pad) - 1):
             raise TrailingGarbageError("nonzero padding bits")
     # bit b is pair (i, j), i < j < n, in column order: b = j(j-1)/2 + i, so the
-    # sorted pairs are canonical edges; only payload bytes other than '?' are read
-    edges = []
+    # sorted keys i*n+j give the canonical edges; only payload bytes other than '?' are read
+    keys = []
     marks = data.translate(_NONZERO_MARKS)
     pos = marks.find(1, idx)
     while pos >= 0:
@@ -101,9 +101,9 @@ def parse_graph6(line: str) -> Graph:
             if (x >> (5 - off)) & 1:
                 b = 6 * (pos - idx) + off
                 j = (1 + isqrt(1 + 8 * b)) // 2
-                edges.append((b - j * (j - 1) // 2, j))
+                keys.append((b - j * (j - 1) // 2) * n + j)
         pos = marks.find(1, pos + 1)
-    return Graph(n, tuple(sorted(edges)))
+    return graph_from_keys(n, keys)
 
 
 def graph6_length(n: int) -> int:
@@ -117,7 +117,7 @@ def emit_graph6(g: Graph) -> str:
     base = len(head)
     buf = bytearray(base + (g.n * (g.n - 1) // 2 + 5) // 6)
     buf[:base] = head
-    for i, j in g.edges:
+    for i, j in zip(g.lo, g.hi):
         group, off = divmod(j * (j - 1) // 2 + i, 6)
         buf[base + group] |= 1 << (5 - off)
     return buf.translate(_TO_GRAPH6).decode("ascii")
@@ -135,10 +135,15 @@ def _lines(text: str):
 
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free.
-    Each edge is checked once, as its line is read, and kept in a list sorted at the end."""
+    Each edge is checked once, as its line is read, by its key a*n+b (a < b).
+    While the keys ascend none repeats and the ends as read are the graph's
+    columns; from the first key that does not, a set of the keys checks for
+    repeats, and the sorted set gives the columns."""
     n = m = None
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    seen: set[int] | None = None
+    last = -1
+    lo: list[int] = []
+    hi: list[int] = []
     for ln, raw in enumerate(_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -163,29 +168,44 @@ def parse_edge_list(text: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {ln}: endpoints must be integers") from None
-        if len(edges) >= m:
+        if len(lo) >= m:
             raise EdgeListParseError(f"line {ln}: more than {m} edges")
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"line {ln}: endpoint outside 0..{n - 1}")
         if a == b:
             raise SelfLoopError(f"line {ln}: self-loop at vertex {a}")
-        e = (a, b) if a < b else (b, a)
-        if e in seen:
-            raise DuplicateEdgeError(f"line {ln}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
+        if a > b:
+            a, b = b, a
+        key = a * n + b
+        if seen is None and key > last:
+            last = key
+        else:
+            if seen is None:
+                seen = {x * n + y for x, y in zip(lo, hi)}
+            if key in seen:
+                raise DuplicateEdgeError(f"line {ln}: duplicate edge {(a, b)}")
+            seen.add(key)
+        lo.append(a)
+        hi.append(b)
     if n is None:
         raise EdgeListParseError("missing 'n m' header")
-    if len(edges) != m:
-        raise EdgeListParseError(f"expected {m} edges, found {len(edges)}")
-    edges.sort()
-    return Graph(n, tuple(edges))
+    if len(lo) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(lo)}")
+    if seen is not None:
+        return graph_from_keys(n, seen)
+    return Graph.from_columns(n, lo, hi)
+
+
+def _interleaved(g: Graph) -> tuple[int, ...]:
+    """lo[0], hi[0], lo[1], hi[1], ...: the arguments of one %-format over the edges."""
+    flat = [0] * (2 * len(g.lo))
+    flat[::2] = g.lo
+    flat[1::2] = g.hi
+    return tuple(flat)
 
 
 def emit_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{a} {b}" for a, b in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {len(g.lo)}\n" + ("%d %d\n" * len(g.lo)) % _interleaved(g)
 
 
 PALETTE = (
@@ -208,7 +228,7 @@ def emit_dot(doc: ColoringDocument) -> str:
         lines.append(
             f'  n{v} [label="{name}\\n{c}", fillcolor="{PALETTE[(c - 1) % len(PALETTE)]}"];'
         )
-    for (a, b), c in zip(doc.graph.edges, doc.coloring.edge_colors):
+    for a, b, c in zip(doc.graph.lo, doc.graph.hi, doc.coloring.edge_colors):
         lines.append(f'  n{a} -- n{b} [label="{c}", color="{PALETTE[(c - 1) % len(PALETTE)]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -239,26 +259,28 @@ def document_coloring(doc: ColoringDocument) -> TotalColoring:
 
 # Compact JSON for one document field.  A document's fields are ints and
 # tuples of ints, which cannot hold a cycle, so the encoder keeps no
-# markers dict: with one, every edge pair costs an insert and a delete.
+# markers dict.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def emit_coloring_json(doc: ColoringDocument) -> str:
     """One top-level key per line, each value (arrays included) on its line
     in compact JSON: a valid JSON object, read back by parse_coloring_json."""
-    # the tuples are encoded as they are: JSON writes them as arrays
-    payload = {
-        "n": doc.graph.n,
-        "edges": doc.graph.edges,
-        "vertex_colors": doc.coloring.vertex_colors,
-        "edge_colors": doc.coloring.edge_colors,
-        "max_color": doc.coloring.max_color,
-        "corona_map": None
-        if doc.corona_map is None
-        else {"n_g": doc.corona_map.n_g, "n_h": doc.corona_map.n_h},
-    }
-    fields = (f"  {json.dumps(key)}: {_COMPACT(value)}" for key, value in payload.items())
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    g, colors, cmap = doc.graph, doc.coloring, doc.corona_map
+    # the edges in one %-format over the columns: every parser checks that an
+    # endpoint's type is int, so %d spells it as JSON does
+    edges = ('  "edges": [' + ("[%d,%d]," * len(g.lo))[:-1] + "]") % _interleaved(g)
+    corona_map = None if cmap is None else {"n_g": cmap.n_g, "n_h": cmap.n_h}
+    # the color tuples are encoded as they are: JSON writes them as arrays.  The
+    # braces go on the short first and last lines, so the text is copied once
+    return ",\n".join([
+        '{\n  "n": ' + _COMPACT(g.n),
+        edges,
+        '  "vertex_colors": ' + _COMPACT(colors.vertex_colors),
+        '  "edge_colors": ' + _COMPACT(colors.edge_colors),
+        '  "max_color": ' + _COMPACT(colors.max_color),
+        '  "corona_map": ' + _COMPACT(corona_map) + "\n}\n",
+    ])
 
 
 def _as_int(payload: dict, key: str) -> int:
@@ -297,27 +319,30 @@ def parse_coloring_json(text: str) -> ColoringDocument:
     shape = "edges must be a list of [a, b] integer pairs"
     if type(raw_edges) is not list:
         raise SchemaViolationError(shape)
-    edges: list[tuple[int, int]] = []
-    prev = (-1, -1)
+    lo: list[int] = []
+    hi: list[int] = []
+    prev = -1  # the key a*n+b of the edge before, which orders edges as pairs do
     for p in raw_edges:
         if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
             raise SchemaViolationError(shape)
-        a, b = e = p[0], p[1]
+        a, b = p
         if not (0 <= a < n and 0 <= b < n):
             raise SchemaViolationError(
                 f"bad edge list: edge ({a},{b}) has an endpoint outside 0..{n - 1}"
             )
         if a == b:
             raise SchemaViolationError(f"bad edge list: self-loop at vertex {a}")
-        if e == prev:
-            raise SchemaViolationError(f"bad edge list: duplicate edge {e}")
-        if a > b or e < prev:
+        edge_key = a * n + b
+        if edge_key == prev:
+            raise SchemaViolationError(f"bad edge list: duplicate edge {(a, b)}")
+        if a > b or edge_key < prev:
             raise SchemaViolationError("edges must be sorted pairs in canonical order")
-        edges.append(e)
-        prev = e
+        lo.append(a)
+        hi.append(b)
+        prev = edge_key
     # the color lists' lengths tie n to the size of the text, so a document
     # cannot make the parser build a graph far larger than the text
-    for key, want in (("vertex_colors", n), ("edge_colors", len(edges))):
+    for key, want in (("vertex_colors", n), ("edge_colors", len(lo))):
         col = payload[key]
         if type(col) is not list:
             raise SchemaViolationError(f"{key} must be a list of integers")
@@ -338,4 +363,5 @@ def parse_coloring_json(text: str) -> ColoringDocument:
             raise SchemaViolationError("corona_map inconsistent with the vertex count")
         corona_map = CoronaMap(n_g, n_h)
     vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
-    return ColoringDocument(Graph(n, tuple(edges)), TotalColoring(vcol, ecol, max_color), corona_map)
+    coloring = TotalColoring(vcol, ecol, max_color)
+    return ColoringDocument(Graph.from_columns(n, lo, hi), coloring, corona_map)

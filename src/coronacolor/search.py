@@ -40,7 +40,7 @@ def _conflict_lists(g: Graph) -> list[list[int]]:
     """Per element (vertices, then edges as n + edge id), the elements it must differ from."""
     conf = [list(nb) for nb in g.adj]
     first = list(map(len, conf))  # v's edges follow its neighbors in conf[v]
-    for e, (a, b) in enumerate(g.edges, g.n):
+    for e, (a, b) in enumerate(zip(g.lo, g.hi), g.n):
         ca, cb = conf[a], conf[b]
         near = ca[first[a]:] + cb[first[b]:]
         for f in near:
@@ -173,14 +173,14 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
     """
     if k < 1:
         raise ValueError("palette size must be positive")
-    n, m = g.n, len(g.edges)
+    n, m = g.n, len(g.lo)
     total = n + m
     if total == 0:
         return TotalColoring((), (), 1)
     deg = [len(nb) for nb in g.adj]
     if max(deg, default=0) + 1 > k:
         return None
-    for a, b in g.edges:
+    for a, b in zip(g.lo, g.hi):
         # both stars would need the whole palette, forcing equal products
         if deg[a] + 1 == k and deg[b] + 1 == k:
             return None
@@ -188,7 +188,7 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
         raise ValueError(f"search set-up of {slots} list slots exceeds {MAX_SEARCH_SLOTS}")
 
     order, ahead = _order_and_ahead(_conflict_lists(g))
-    owners = [(v,) for v in range(n)] + list(g.edges)
+    owners = [(v,) for v in range(n)] + list(zip(g.lo, g.hi))
     ceiling = [total] * total
     if twins:
         depth_of = [0] * total

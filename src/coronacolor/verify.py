@@ -55,17 +55,17 @@ class VerifyReport:
 
 def check_cover(g: Graph, coloring: TotalColoring) -> None:
     """Raise DimensionMismatchError unless coloring colors each vertex and edge of g."""
-    if len(coloring.vertex_colors) != g.n or len(coloring.edge_colors) != len(g.edges):
+    if len(coloring.vertex_colors) != g.n or len(coloring.edge_colors) != len(g.lo):
         raise DimensionMismatchError(
             f"coloring covers {len(coloring.vertex_colors)} vertices / "
-            f"{len(coloring.edge_colors)} edges, graph has {g.n} / {len(g.edges)}"
+            f"{len(coloring.edge_colors)} edges, graph has {g.n} / {len(g.lo)}"
         )
 
 
 def star_products(start: Sequence[int], g: Graph, colors: Sequence[int]) -> list[int]:
     """start[x] times the colors of x's edges in g, for every vertex x."""
     prod = list(start)
-    for (a, b), c in zip(g.edges, colors):
+    for a, b, c in zip(g.lo, g.hi, colors):
         prod[a] *= c
         prod[b] *= c
     return prod
@@ -88,7 +88,7 @@ def _clean_products(g: Graph, coloring: TotalColoring) -> list[int] | None:
     bit = [1 << c for c in range(top + 1)]
     seen = [bit[c] for c in vcol]
     prods = list(vcol)
-    for (a, b), c in zip(g.edges, ecol):
+    for a, b, c in zip(g.lo, g.hi, ecol):
         x = bit[c]
         sa, sb = seen[a], seen[b]
         if vcol[a] == vcol[b] or sa & x or sb & x:
@@ -116,8 +116,8 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
     vertex_vertex: list[Violation] = []
     vertex_edge: list[Violation] = []
     inc: list[list[int]] = [[] for _ in range(g.n)]  # edge ids at each vertex
-    for t, (e, c) in enumerate(zip(g.edges, ecol)):
-        a, b = e
+    for t, (a, b, c) in enumerate(zip(g.lo, g.hi, ecol)):
+        e = (a, b)
         if not 1 <= c <= mx:
             edge_range.append(Violation(COLOR_OUT_OF_RANGE, (("edge", e),), (c,)))
         if vcol[a] == vcol[b]:
@@ -132,6 +132,7 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
         inc[a].append(t)
         inc[b].append(t)
     edge_edge: list[Violation] = []
+    lo, hi = g.lo, g.hi
     for ts in inc:
         groups: dict[int, list[int]] = {}
         for t in ts:
@@ -140,7 +141,8 @@ def verify_proper_total(g: Graph, coloring: TotalColoring) -> VerifyReport:
         for c, same in groups.items():
             if len(same) > 1:
                 edge_edge += [
-                    Violation(EDGE_EDGE_CLASH, (("edge", g.edges[x]), ("edge", g.edges[y])), (c,))
+                    Violation(EDGE_EDGE_CLASH, (("edge", (lo[x], hi[x])), ("edge", (lo[y], hi[y]))),
+                              (c,))
                     for x, y in combinations(same, 2)
                 ]
     violations = vertex_range + edge_range + vertex_vertex + vertex_edge + edge_edge
@@ -154,7 +156,7 @@ def _collisions(g: Graph, kind: str, keys: Sequence) -> tuple[Violation, ...]:
     the two keys: the one collision step of product and set mode."""
     return tuple(
         Violation(kind, (("vertex", a), ("vertex", b)), (keys[a], keys[b]))
-        for a, b in g.edges
+        for a, b in zip(g.lo, g.hi)
         if keys[a] == keys[b]
     )
 
@@ -174,7 +176,7 @@ def verify_nvd(g: Graph, coloring: TotalColoring) -> VerifyReport:
         return report
     # the fold of star_products, with set union in place of the product
     sets = [{c} for c in coloring.vertex_colors]
-    for (a, b), c in zip(g.edges, coloring.edge_colors):
+    for a, b, c in zip(g.lo, g.hi, coloring.edge_colors):
         sets[a].add(c)
         sets[b].add(c)
     keys = [tuple(sorted(colors)) for colors in sets]

@@ -281,6 +281,19 @@ def test_color_corona_builds_no_corona_adjacency():
         assert verify_npd(res.graph, res.coloring).ok
 
 
+def test_color_corona_derives_no_edge_pairs():
+    # the base search, the products and the verifier walk the two edge
+    # columns, so neither G nor the corona caches its edges as pairs
+    matching = new_graph(200, [(2 * i, 2 * i + 1) for i in range(100)])
+    isolated = new_graph(6, [(0, 1), (1, 2), (4, 5)])
+    for g in (gen_random_subcubic(300, 4), matching, isolated):
+        for h in (gen_random_subcubic(10, 3), new_graph(1), new_graph(2, [(0, 1)])):
+            res = color_corona(g, h)
+            assert res.graph.n > g.n
+            assert "edges" not in vars(res.graph)
+            assert "edges" not in vars(g)
+
+
 def test_rejects_non_subcubic():
     star = new_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(NotSubcubicError):
