@@ -135,15 +135,10 @@ def _lines(text: str):
 
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free.
-    Each edge is checked once, as its line is read, by its key a*n+b (a < b).
-    While the keys ascend none repeats and the ends as read are the graph's
-    columns; from the first key that does not, a set of the keys checks for
-    repeats, and the sorted set gives the columns."""
+    Each edge is checked once, as its line is read, by its key a*n+b (a < b)
+    against a set of the keys, and the sorted keys give the columns."""
     n = m = None
-    seen: set[int] | None = None
-    last = -1
-    lo: list[int] = []
-    hi: list[int] = []
+    seen: set[int] = set()
     for ln, raw in enumerate(_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -168,7 +163,7 @@ def parse_edge_list(text: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {ln}: endpoints must be integers") from None
-        if len(lo) >= m:
+        if len(seen) >= m:
             raise EdgeListParseError(f"line {ln}: more than {m} edges")
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"line {ln}: endpoint outside 0..{n - 1}")
@@ -177,23 +172,14 @@ def parse_edge_list(text: str) -> Graph:
         if a > b:
             a, b = b, a
         key = a * n + b
-        if seen is None and key > last:
-            last = key
-        else:
-            if seen is None:
-                seen = {x * n + y for x, y in zip(lo, hi)}
-            if key in seen:
-                raise DuplicateEdgeError(f"line {ln}: duplicate edge {(a, b)}")
-            seen.add(key)
-        lo.append(a)
-        hi.append(b)
+        if key in seen:
+            raise DuplicateEdgeError(f"line {ln}: duplicate edge {(a, b)}")
+        seen.add(key)
     if n is None:
         raise EdgeListParseError("missing 'n m' header")
-    if len(lo) != m:
-        raise EdgeListParseError(f"expected {m} edges, found {len(lo)}")
-    if seen is not None:
-        return graph_from_keys(n, seen)
-    return Graph.from_columns(n, lo, hi)
+    if len(seen) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(seen)}")
+    return graph_from_keys(n, seen)
 
 
 def _interleaved(g: Graph) -> tuple[int, ...]:

@@ -165,12 +165,9 @@ def test_corona_matches_reference_build():
 
 def test_corona_keeps_only_its_edges():
     # each edge keeps a slot in each of the two columns (16 bytes) and, inside
-    # a copy, a share of the copy's new int objects: about 29 bytes in all,
-    # where a 2-tuple per edge came to about 77 and an adjacency tuple per
-    # corona vertex as well to about 113.  The build peaked at 20.96 MiB with
-    # the edges as pairs and peaks at 8.94 MiB with the columns built in
-    # comprehensions, under Python 3.11 to 3.13 (8.57 under 3.10); the bounds
-    # are 6% and 5% over the columns' figures.
+    # a copy, a share of the copy's new int objects: about 29 bytes in all.
+    # The build peaks at 8.94 MiB under Python 3.11 to 3.13 (8.57 under
+    # 3.10); the bounds are 6% and 5% over these figures.
     g, h = gen_random_subcubic(2000, 1), gen_random_subcubic(50, 2)
     assert g.adj and h.adj  # the factors' adjacency is theirs, not the corona's
     tracemalloc.start()
