@@ -264,16 +264,25 @@ def gen_random_subcubic(n: int, seed: int) -> Graph:
     """Deterministic random graph with maximum degree at most 3.
 
     Uniform random pair proposals, accepted while both endpoints have degree
-    below 3 and the edge is new; the proposal budget is fixed at 12*n.
+    below 3 and the edge is new; the proposal budget is fixed at 12*n.  Each
+    endpoint is drawn as random.Random(seed).randrange(n) draws it: k =
+    n.bit_length() random bits, drawn again while they are n or more.  So the
+    graphs are those of one randrange(n) call per endpoint, without the cost
+    of those calls.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    k = n.bit_length()
     deg = [0] * n
     present: set[int] = set()  # the edges' keys a*n+b, a < b
     for _ in range(12 * n):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
+        a = getrandbits(k)
+        while a >= n:
+            a = getrandbits(k)
+        b = getrandbits(k)
+        while b >= n:
+            b = getrandbits(k)
         if a == b or deg[a] >= 3 or deg[b] >= 3:
             continue
         key = a * n + b if a < b else b * n + a

@@ -136,9 +136,13 @@ def _lines(text: str):
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" plus m lines "a b"; '#' starts a comment, whitespace is free.
     Each edge is checked once, as its line is read, by its key a*n+b (a < b)
-    against a set of the keys, and the sorted keys give the columns."""
+    against a set of the keys.  The keys are also kept in input order, and
+    the set is dropped before that list is sorted into the columns: an edge
+    list already in canonical order, as emit_edge_list writes it, then sorts
+    in one linear pass."""
     n = m = None
     seen: set[int] = set()
+    keys: list[int] = []
     for ln, raw in enumerate(_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -163,7 +167,7 @@ def parse_edge_list(text: str) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {ln}: endpoints must be integers") from None
-        if len(seen) >= m:
+        if len(keys) >= m:
             raise EdgeListParseError(f"line {ln}: more than {m} edges")
         if not (0 <= a < n and 0 <= b < n):
             raise EndpointOutOfRangeError(f"line {ln}: endpoint outside 0..{n - 1}")
@@ -175,11 +179,13 @@ def parse_edge_list(text: str) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(f"line {ln}: duplicate edge {(a, b)}")
         seen.add(key)
+        keys.append(key)
     if n is None:
         raise EdgeListParseError("missing 'n m' header")
-    if len(seen) != m:
-        raise EdgeListParseError(f"expected {m} edges, found {len(seen)}")
-    return graph_from_keys(n, seen)
+    if len(keys) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(keys)}")
+    del seen
+    return graph_from_keys(n, keys)
 
 
 def _interleaved(g: Graph) -> tuple[int, ...]:

@@ -298,10 +298,11 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> TotalColoring:
 
 
 def _instance_summary(g: Graph) -> str:
-    """n, the edge count and the first four edges of g, for an error message."""
-    head = ", ".join(map(str, g.edges[:4]))
-    more = ", ..." if len(g.edges) > 4 else ""
-    return f"n={g.n} edges={len(g.edges)} [{head}{more}]"
+    """n, the edge count and the first four edges of g, for an error message,
+    read from the columns: g's pairs are not derived."""
+    head = ", ".join(map(str, zip(g.lo[:4], g.hi[:4])))
+    more = ", ..." if len(g.lo) > 4 else ""
+    return f"n={g.n} edges={len(g.lo)} [{head}{more}]"
 
 
 def base_coloring(g: Graph) -> TotalColoring:

@@ -27,6 +27,9 @@ build and the corona coloring in their earlier form, which walk v_j in turn:
 per v_j three list comprehensions of edges, and a fresh copy of the ladder
 with that v_j's position-1 color; the whole-array build must give the same
 ``ColorResult`` on every input.
+``reference_gen_random_subcubic`` is the generator in its earlier form, one
+``randrange(n)`` call per endpoint: the one that draws from ``getrandbits``
+must give the same graph for every n and seed.
 ``k`` and ``cycle`` build the complete graph and the cycle on n vertices
 that several test modules use.
 """
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from bisect import bisect
 from functools import lru_cache
 from itertools import combinations
@@ -61,7 +65,7 @@ from coronacolor.construct import (
     sort_by_product,
 )
 from coronacolor.edgecolor import edge_colors_at, vizing_color
-from coronacolor.graph import collector_paused, require_subcubic
+from coronacolor.graph import collector_paused, graph_from_keys, require_subcubic
 from coronacolor.search import base_coloring
 from coronacolor.verify import star_products, verify_npd
 from coronacolor.errors import (
@@ -677,3 +681,31 @@ def reference_color_corona(g: Graph, h: Graph) -> ColorResult:
     cases = [(comp, case if len(comp) > 1 else FALLBACK) for comp in connected_components(g)]
     trace = ConstructionTrace(sigma, tuple(cases), bound)
     return ColorResult(cg, cmap, coloring, trace)
+
+
+def reference_gen_random_subcubic(n: int, seed: int) -> Graph:
+    """The earlier ``gen_random_subcubic``, which draws each endpoint with
+    ``randrange(n)``.  Its own docstring follows.
+
+    Deterministic random graph with maximum degree at most 3.
+
+    Uniform random pair proposals, accepted while both endpoints have degree
+    below 3 and the edge is new; the proposal budget is fixed at 12*n.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    rng = random.Random(seed)
+    deg = [0] * n
+    present: set[int] = set()  # the edges' keys a*n+b, a < b
+    for _ in range(12 * n):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if a == b or deg[a] >= 3 or deg[b] >= 3:
+            continue
+        key = a * n + b if a < b else b * n + a
+        if key in present:
+            continue
+        present.add(key)
+        deg[a] += 1
+        deg[b] += 1
+    return graph_from_keys(n, present)

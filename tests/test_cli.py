@@ -139,6 +139,20 @@ def test_verify_schema_error(tmp_path, capsys):
     assert_one_line(capsys.readouterr().err, "parse error:")
 
 
+def test_verify_reports_the_graph_error_first(tmp_path, capsys):
+    # with both inputs bad, the graph's parse error is the one reported: a
+    # change to the order verify parses them in must keep this line
+    gp = tmp_path / "loop.el"
+    gp.write_text("2 1\n1 1\n", encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    args = ["verify", "--graph", str(gp), "--format", "edgelist", "--coloring", str(bad)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: line 2: self-loop at vertex 1\n"
+    assert captured.out == ""
+
+
 def test_verify_graph_document_mismatch(tmp_path, capsys):
     gp = write_g6(tmp_path / "g.g6", k(2))
     out = tmp_path / "col.json"

@@ -18,7 +18,7 @@ from coronacolor import (
     subgraph,
 )
 from coronacolor.errors import DuplicateEdgeError, EndpointOutOfRangeError, SelfLoopError
-from oracles import cycle, k
+from oracles import cycle, k, reference_gen_random_subcubic
 
 
 def test_new_graph_basics():
@@ -245,6 +245,19 @@ def test_gen_random_subcubic():
         for seed in range(4):
             g = gen_random_subcubic(n, seed)
             assert g == new_graph(n, [(b, a) for a, b in reversed(g.edges)]), (n, seed)
+
+
+def test_gen_random_subcubic_matches_randrange_draws():
+    # each endpoint is drawn from getrandbits as randrange(n) draws it, so the
+    # graphs are the earlier generator's: for every n up to 64, on both sides
+    # of 2^7..2^12 (just above a power of two almost half the draws are
+    # redrawn), and at 2000 and 4000, the benchmark's and CI's sizes
+    sizes = list(range(1, 65))
+    sizes += [(1 << j) + d for j in range(7, 13) for d in (-1, 0, 1)]
+    sizes += [2000, 4000]
+    for n in sizes:
+        for seed in (0, 1, 2, 12345):
+            assert gen_random_subcubic(n, seed) == reference_gen_random_subcubic(n, seed), (n, seed)
 
 
 def test_components_and_subgraph():

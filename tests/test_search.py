@@ -308,6 +308,21 @@ def test_budget_exceeded_is_distinct_from_not_found(monkeypatch):
     assert len(str(info.value)) < 200
 
 
+def test_budget_message_reads_the_columns(monkeypatch):
+    # the summary of a column-built G takes its count and first four pairs
+    # from the columns: the text is the one built from the pairs, and no
+    # pair is derived
+    monkeypatch.setattr(search, "BASE_BUDGET", 1)
+    for g in (cycle(4), gen_random_subcubic(2000, 1)):
+        with pytest.raises(BudgetExceededError) as info:
+            base_coloring(g)
+        assert "edges" not in vars(g)
+        head = ", ".join(map(str, g.edges[:4]))
+        more = ", ..." if len(g.edges) > 4 else ""
+        want = f"n={g.n} edges={len(g.edges)} [{head}{more}]"
+        assert str(info.value) == f"base coloring budget exhausted; {want}"
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         npdtc_search(k(2), 0)
