@@ -6,8 +6,9 @@ from .graph import Graph, max_degree
 
 
 def edge_colors_at(h: Graph, ecol: tuple[int, ...], u: int) -> frozenset[int]:
-    """Set of colors on the edges incident with u; ecol is in canonical edge order."""
-    return frozenset(c for e, c in zip(h.edges, ecol) if u in e)
+    """Set of colors on the edges incident with u; ecol is in canonical edge
+    order, read beside h's two columns (h's pairs are not derived)."""
+    return frozenset(c for a, b, c in zip(h.lo, h.hi, ecol) if a == u or b == u)
 
 
 def vizing_color(h: Graph) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, twin_classes
+from .graph import Graph, graph_from_keys, twin_classes
 
 
 def _refined_cells(g: Graph) -> list[list[int]]:
@@ -113,16 +113,8 @@ def canonical_form(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def _graph_from_form(form: tuple[int, tuple[int, ...]]) -> Graph:
     n, cols = form
-    edges = []
-    for d in range(n):
-        col = cols[d]
-        q = 0
-        while col:
-            if col & 1:
-                edges.append((q, d))
-            col >>= 1
-            q += 1
-    return Graph(n, tuple(sorted(edges)))
+    # bit q of column d is the edge (q, d), key q*n+d
+    return graph_from_keys(n, [q * n + d for d in range(n) for q in range(d) if cols[d] >> q & 1])
 
 
 @lru_cache(maxsize=None)
@@ -130,17 +122,17 @@ def _subcubic_level(n: int, connected: bool) -> tuple[Graph, ...]:
     if n <= 0:
         return ()
     if n == 1:
-        return (Graph(1, ()),)
+        return (graph_from_keys(1, ()),)
     out: dict[tuple[int, tuple[int, ...]], Graph] = {}
     for parent in _subcubic_level(n - 1, connected):
         open_verts = [v for v in range(parent.n) if parent.degree(v) < 3]
         prev = {v: u for cls in twin_classes(parent) for u, v in zip(cls, cls[1:])}
-        base = list(parent.edges)
+        base = [a * n + b for a, b in zip(parent.lo, parent.hi)]  # the parent's keys for n vertices
         for r in range(1 if connected else 0, min(3, len(open_verts)) + 1):
             for subset in combinations(open_verts, r):
                 if any(v in prev and prev[v] not in subset for v in subset):
                     continue
-                child = Graph(n, tuple(sorted(base + [(v, n - 1) for v in subset])))
+                child = graph_from_keys(n, base + [v * n + n - 1 for v in subset])
                 key = canonical_form(child)
                 if key not in out:
                     out[key] = _graph_from_form(key)

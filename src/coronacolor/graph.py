@@ -3,16 +3,17 @@
 Vertices are dense integers 0..n-1.  Edges are unordered pairs, each with
 its smaller end first, in lexicographic order, which fixes the canonical
 edge order used throughout the package.  A graph is n and two int columns,
-the smaller and the larger end of each edge in that order: the writers fill
-the columns and build no pair tuple, and the pairs (``edges``) and the
-adjacency are derived on first read.
+the smaller and the larger end of each edge in that order, and nothing else:
+every writer fills the columns and keeps no pair tuple, the pairs
+(``edges``) and the adjacency are derived on first read, and an edge's id is
+its position in the columns.
 """
 
 from __future__ import annotations
 
 import gc
 import random
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -56,9 +57,10 @@ def collector_paused(fn: _F) -> _F:
 class Graph:
     """Immutable simple undirected graph: n and its canonical edges as two
     int columns, lo[t] < hi[t] the ends of edge t, which alone set equality
-    and hashing.  Graph(n, pairs) takes canonical pairs and keeps them as its
-    edges; writers that have the columns use Graph.from_columns.  The pairs
-    and the adjacency are otherwise derived on first read and kept."""
+    and hashing; edge t's id is t.  Graph(n, pairs) takes canonical pairs and
+    splits them into the columns; writers that have the columns use
+    Graph.from_columns.  The pairs and the adjacency are derived on first
+    read and kept."""
 
     n: int
     lo: list[int]
@@ -66,7 +68,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         pairs = tuple(edges)
-        vars(self).update(n=n, lo=[a for a, _ in pairs], hi=[b for _, b in pairs], edges=pairs)
+        vars(self).update(n=n, lo=[a for a, _ in pairs], hi=[b for _, b in pairs])
 
     @classmethod
     def from_columns(cls, n: int, lo: list[int], hi: list[int]) -> Graph:
@@ -183,17 +185,21 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return sorted(c for c in groups.values() if len(c) > 1)
 
 
-def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph plus the sorted original vertices (new id = position).
+def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """Induced subgraph, the sorted original vertices (new id = position) and
+    the kept edges' ids in g (new edge id = position).
 
-    Reads only the kept vertices' adjacency: O(edges kept) once g.adj
-    exists, not O(all edges of g).  The kept vertices and each one's
-    neighbours ascend, so the relabeled pairs are canonical as built.
+    Reads only the kept vertices' runs of g.lo: a's edges to larger vertices
+    are ids bisect_left(g.lo, a) onwards, one per neighbour above a, in order.
+    The kept vertices ascend, so the ids do too and the relabeled edges are
+    canonical as built.
     """
     verts = tuple(sorted(set(vertices)))
     back = {v: i for i, v in enumerate(verts)}
-    edges = [(back[a], back[b]) for a in verts for b in g.adj[a] if a < b and b in back]
-    return Graph(len(verts), tuple(edges)), verts
+    lo, hi = g.lo, g.hi
+    ids = tuple(t for a in verts for t in range(bisect_left(lo, a), bisect(lo, a)) if hi[t] in back)
+    sub = Graph.from_columns(len(verts), [back[lo[t]] for t in ids], [back[hi[t]] for t in ids])
+    return sub, verts, ids
 
 
 class GVertex(NamedTuple):

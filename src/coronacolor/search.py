@@ -267,7 +267,8 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> TotalColoring:
     Its max_color is chi''_prod(g), the smallest k admitting one; products
     are local, so each component increments k from max_degree+1 and keeps
     the coloring its last search found, which uses that k.  An isolated
-    vertex takes color 1.  Each search attempt gets the full budget.
+    vertex takes color 1.  Each search attempt gets the full budget.  A
+    component's colors go back by the vertices and edge ids subgraph returns.
 
     The search is exhaustive up to swaps of twin vertices: a vertex's color
     is capped at that of the previous vertex of its twin class in the search
@@ -280,21 +281,21 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> TotalColoring:
     if g.n == 0:
         raise ValueError("need at least one vertex")
     vcol = [1] * g.n
-    ecol = dict.fromkeys(g.edges, 0)  # values in canonical edge order
+    ecol = [0] * len(g.lo)
     best = 1
     for comp in connected_components(g):
         if len(comp) == 1:
             continue
-        sub, verts = subgraph(g, comp)
+        sub, verts, ids = subgraph(g, comp)
         k = max_degree(sub) + 1
         while (tc := _search(sub, k, budget, twins=True)) is None:
             k += 1
         for v, c in zip(verts, tc.vertex_colors):
             vcol[v] = c
-        for (a, b), c in zip(sub.edges, tc.edge_colors):
-            ecol[verts[a], verts[b]] = c
+        for t, c in zip(ids, tc.edge_colors):
+            ecol[t] = c
         best = max(best, k)
-    return TotalColoring(tuple(vcol), tuple(ecol.values()), best)
+    return TotalColoring(tuple(vcol), tuple(ecol), best)
 
 
 def _instance_summary(g: Graph) -> str:

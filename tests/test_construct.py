@@ -417,7 +417,7 @@ def test_component_corona_is_the_induced_subgraph():
             cg, cmap = corona(g, h)
             for comp in connected_components(g):
                 copies = [cmap.copy_vertex(v + 1, i) for v in comp for i in range(1, h.n + 1)]
-                sub, verts = subgraph(cg, [*comp, *copies])
+                sub, verts, _ = subgraph(cg, [*comp, *copies])
                 assert verts == (*comp, *copies)
                 assert corona(subgraph(g, comp)[0], h)[0] == sub
 

@@ -9,14 +9,17 @@ from coronacolor import (
     CoronaMap,
     GVertex,
     Graph,
+    chi_prod_exact,
     connected_components,
     corona,
+    edge_colors_at,
     enumerate_subcubic,
     gen_random_subcubic,
     max_degree,
     new_graph,
     subgraph,
 )
+from coronacolor import enumeration
 from coronacolor.errors import DuplicateEdgeError, EndpointOutOfRangeError, SelfLoopError
 from oracles import cycle, k, reference_gen_random_subcubic
 
@@ -263,8 +266,8 @@ def test_gen_random_subcubic_matches_randrange_draws():
 def test_components_and_subgraph():
     g = new_graph(5, [(0, 1), (3, 4)])
     assert connected_components(g) == [(0, 1), (2,), (3, 4)]
-    sub, verts = subgraph(g, [3, 4, 2])
-    assert verts == (2, 3, 4)
+    sub, verts, ids = subgraph(g, [3, 4, 2])
+    assert verts == (2, 3, 4) and ids == (1,)
     assert sub.edges == ((1, 2),)
 
 
@@ -280,7 +283,31 @@ def test_subgraph_matches_a_validated_build():
     cases += [(gen_random_subcubic(60, t), rng.sample(range(60), rng.randrange(61)))
               for t in range(50)]
     for g, s in cases:
-        sub, verts = subgraph(g, s)
+        sub, verts, ids = subgraph(g, s)
         back = {v: i for i, v in enumerate(verts)}
         pairs = [(back[a], back[b]) for a, b in g.edges if a in back and b in back]
         assert sub == new_graph(len(verts), pairs), (g.edges, s)
+        # each kept edge's id in g, ascending, one per edge with both ends kept
+        assert list(ids) == sorted(set(ids)), (g.edges, s)
+        assert all((g.lo[t], g.hi[t]) == (verts[a], verts[b])
+                   for t, (a, b) in zip(ids, sub.edges)), (g.edges, s)
+        assert len(ids) == len(pairs), (g.edges, s)
+
+
+def test_every_writer_keeps_only_the_columns():
+    # a graph is n, lo and hi whoever built it: its pairs are derived only on a read
+    assert "edges" not in vars(Graph(3, ((0, 1), (1, 2))))
+    g = gen_random_subcubic(30, 1)
+    assert "edges" not in vars(subgraph(g, range(0, 30, 2))[0])
+    # vizing_color in other tests derives pairs on the cached graphs
+    enumeration._subcubic_level.cache_clear()
+    for n in range(1, 8):
+        for connected in (False, True):
+            for h in enumerate_subcubic(n, connected):
+                assert "edges" not in vars(h), (n, connected, h)
+    cg = corona(k(2), k(3))[0]
+    chi_prod_exact(cg)
+    assert "edges" not in vars(cg)
+    p3 = new_graph(3, [(0, 1), (1, 2)])
+    assert edge_colors_at(p3, (1, 2), 1) == frozenset({1, 2})
+    assert "edges" not in vars(p3)

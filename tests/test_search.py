@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 import tracemalloc
@@ -268,6 +269,39 @@ def test_chi_trivia():
     assert chi_prod_exact(g).max_color == 3
     with pytest.raises(ValueError):
         chi_prod_exact(new_graph(0))
+
+
+def interleaved_union(a, b):
+    """a and b side by side, a's vertex i at 2i and b's at 2i+1, so the
+    components' edge ids interleave."""
+    pairs = [(2 * x, 2 * y) for x, y in a.edges] + [(2 * x + 1, 2 * y + 1) for x, y in b.edges]
+    return new_graph(2 * max(a.n, b.n), pairs)
+
+
+# SHA-256 over chi_prod_exact's witness on every subcubic graph on 1..6
+# vertices (103), on the sweep's 180 oracle coronas (connected G on up to 4
+# vertices times H on up to 4), on a 20-vertex perfect matching and on the
+# interleaved union of every ordered pair of connected graphs on 2..4 vertices
+# (81): any change to the search or to how a component's colors are written
+# back moves it
+CHI_WITNESSES_SHA256 = "cfab0f78bccbaa0b15d75cb351d5e34accca33b38cf4c76640003592761c82fe"
+
+
+def test_chi_witnesses_are_pinned():
+    small = [g for n in range(1, 7) for g in enumerate_subcubic(n)]
+    gs = [g for n in range(1, 5) for g in enumerate_subcubic(n, connected=True)]
+    hs = [h for n in range(1, 5) for h in enumerate_subcubic(n)]
+    coronas = [corona(g, h)[0] for g in gs for h in hs]
+    matching = new_graph(20, [(v, v + 1) for v in range(0, 20, 2)])
+    conn = [g for n in range(2, 5) for g in enumerate_subcubic(n, connected=True)]
+    unions = [interleaved_union(a, b) for a, b in product(conn, conn)]
+    graphs = [*small, *coronas, matching, *unions]
+    assert len(graphs) == 103 + 180 + 1 + 81
+    digest = hashlib.sha256()
+    for g in graphs:
+        tc = chi_prod_exact(g)
+        digest.update(repr((tc.vertex_colors, tc.edge_colors, tc.max_color)).encode() + b"\n")
+    assert digest.hexdigest() == CHI_WITNESSES_SHA256
 
 
 def test_every_witness_verifies():
