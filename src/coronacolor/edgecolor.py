@@ -13,7 +13,7 @@ def edge_colors_at(h: Graph, ecol: tuple[int, ...], u: int) -> frozenset[int]:
 
 def vizing_color(h: Graph) -> tuple[int, ...]:
     """Proper edge coloring with the fixed palette 1..max_degree(h)+1, one
-    color per edge in canonical edge order (as in ``Graph.edges``).
+    color per edge id, in the order of h's columns ``h.lo`` and ``h.hi``.
 
     The fan algorithm of Misra and Gries: edges are inserted in canonical
     order, and each is given a color with a maximal fan at its first endpoint
@@ -52,7 +52,7 @@ def vizing_color(h: Graph) -> tuple[int, ...]:
             at[a][new] = b
             at[b][new] = a
 
-    for u, v in h.edges:
+    for u, v in zip(h.lo, h.hi):
         col_u = {w: c for c, w in at[u].items()}  # neighbor -> color of its edge to u
         fan = [v]
         while True:
@@ -80,4 +80,4 @@ def vizing_color(h: Graph) -> tuple[int, ...]:
         at[u][d] = fan[w_idx]
         at[fan[w_idx]][d] = u
     col = [{w: c for c, w in m.items()} for m in at]  # vertex -> neighbor -> color
-    return tuple(col[a][b] for a, b in h.edges)
+    return tuple(col[a][b] for a, b in zip(h.lo, h.hi))

@@ -38,7 +38,7 @@ from .graph import Graph, graph_from_keys, twin_classes
 def _refined_cells(g: Graph) -> list[list[int]]:
     """Iterated neighbor-color refinement; cell order is isomorphism-invariant."""
     n = g.n
-    color = [g.degree(v) for v in range(n)]
+    color = list(map(len, g.adj))
     while True:
         sigs = [(color[v], tuple(sorted(color[w] for w in g.adj[v]))) for v in range(n)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -125,7 +125,7 @@ def _subcubic_level(n: int, connected: bool) -> tuple[Graph, ...]:
         return (graph_from_keys(1, ()),)
     out: dict[tuple[int, tuple[int, ...]], Graph] = {}
     for parent in _subcubic_level(n - 1, connected):
-        open_verts = [v for v in range(parent.n) if parent.degree(v) < 3]
+        open_verts = [v for v, nb in enumerate(parent.adj) if len(nb) < 3]
         prev = {v: u for cls in twin_classes(parent) for u, v in zip(cls, cls[1:])}
         base = [a * n + b for a, b in zip(parent.lo, parent.hi)]  # the parent's keys for n vertices
         for r in range(1 if connected else 0, min(3, len(open_verts)) + 1):

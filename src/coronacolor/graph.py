@@ -4,7 +4,7 @@ Vertices are dense integers 0..n-1.  Edges are unordered pairs, each with
 its smaller end first, in lexicographic order, which fixes the canonical
 edge order used throughout the package.  A graph is n and two int columns,
 the smaller and the larger end of each edge in that order, and nothing else:
-every writer fills the columns and keeps no pair tuple, the pairs
+every writer builds Graph(n, lo, hi) and keeps no pair tuple, the pairs
 (``edges``) and the adjacency are derived on first read, and an edge's id is
 its position in the columns.
 """
@@ -53,28 +53,17 @@ def collector_paused(fn: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class Graph:
     """Immutable simple undirected graph: n and its canonical edges as two
     int columns, lo[t] < hi[t] the ends of edge t, which alone set equality
-    and hashing; edge t's id is t.  Graph(n, pairs) takes canonical pairs and
-    splits them into the columns; writers that have the columns use
-    Graph.from_columns.  The pairs and the adjacency are derived on first
-    read and kept."""
+    and hashing; edge t's id is t.  Graph(n, lo, hi) is the one constructor
+    and takes the columns as given; new_graph validates a pair list.  The
+    pairs and the adjacency are derived on first read and kept."""
 
     n: int
     lo: list[int]
     hi: list[int]
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        pairs = tuple(edges)
-        vars(self).update(n=n, lo=[a for a, _ in pairs], hi=[b for _, b in pairs])
-
-    @classmethod
-    def from_columns(cls, n: int, lo: list[int], hi: list[int]) -> Graph:
-        g = cls.__new__(cls)
-        vars(g).update(n=n, lo=lo, hi=hi)
-        return g
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(self.lo), tuple(self.hi)))
@@ -94,9 +83,6 @@ class Graph:
             nbrs[a].append(b)
             nbrs[b].append(a)
         return tuple(map(tuple, nbrs))
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
 def graph_from_keys(n: int, keys: Iterable[int]) -> Graph:
     """The graph whose edges have the keys a*n+b (a < b)."""
     keys = sorted(keys)
-    return Graph.from_columns(n, [k // n for k in keys], [k % n for k in keys])
+    return Graph(n, [k // n for k in keys], [k % n for k in keys])
 
 
 def max_degree(g: Graph) -> int:
@@ -144,7 +130,11 @@ def require_subcubic(g: Graph) -> None:
 
 
 def edge_index(g: Graph) -> dict[tuple[int, int], int]:
-    """Canonical edge -> position in g.edges."""
+    """Canonical edge -> position in g.edges.
+
+    No package code calls it.  Its one user is perfbench's tracer, which
+    patches it through construct's import until ROADMAP item 1 moves the
+    tracer onto the columns."""
     return {e: t for t, e in enumerate(g.edges)}
 
 
@@ -198,7 +188,7 @@ def subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...],
     back = {v: i for i, v in enumerate(verts)}
     lo, hi = g.lo, g.hi
     ids = tuple(t for a in verts for t in range(bisect_left(lo, a), bisect(lo, a)) if hi[t] in back)
-    sub = Graph.from_columns(len(verts), [back[lo[t]] for t in ids], [back[hi[t]] for t in ids])
+    sub = Graph(len(verts), [back[lo[t]] for t in ids], [back[hi[t]] for t in ids])
     return sub, verts, ids
 
 
@@ -263,7 +253,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
     lo = [v for v, nb in enumerate(g.adj) for _ in range(len(nb) - bisect(nb, v) + h.n)]
     lo += [copy[a] for copy in copies for a in h.lo]
     hi += [copy[b] for copy in copies for b in h.hi]
-    return Graph.from_columns(cmap.n, lo, hi), cmap
+    return Graph(cmap.n, lo, hi), cmap
 
 
 def gen_random_subcubic(n: int, seed: int) -> Graph:

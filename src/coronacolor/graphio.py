@@ -356,4 +356,4 @@ def parse_coloring_json(text: str) -> ColoringDocument:
         corona_map = CoronaMap(n_g, n_h)
     vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
     coloring = TotalColoring(vcol, ecol, max_color)
-    return ColoringDocument(Graph.from_columns(n, lo, hi), coloring, corona_map)
+    return ColoringDocument(Graph(n, lo, hi), coloring, corona_map)

@@ -392,7 +392,7 @@ def reference_parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError("missing 'n m' header")
     if len(seen) != m:
         raise EdgeListParseError(f"expected {m} edges, found {len(seen)}")
-    return Graph(n, tuple(sorted(seen)))
+    return new_graph(n, tuple(sorted(seen)))
 
 
 def _reference_as_int(payload: dict, key: str) -> int:
@@ -463,7 +463,7 @@ def reference_parse_coloring_json(text: str) -> ColoringDocument:
             raise SchemaViolationError("corona_map inconsistent with the vertex count")
         corona_map = CoronaMap(n_g, n_h)
     vcol, ecol = tuple(payload["vertex_colors"]), tuple(payload["edge_colors"])
-    return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)
+    return ColoringDocument(new_graph(n, edges), TotalColoring(vcol, ecol, max_color), corona_map)
 
 
 def reference_emit_coloring_json(doc: ColoringDocument) -> str:
@@ -556,7 +556,7 @@ def _reference_subcubic_level(n: int) -> tuple[Graph, ...]:
         return (new_graph(1, ()),)
     out: dict[tuple[int, tuple[int, ...]], Graph] = {}
     for parent in _reference_subcubic_level(n - 1):
-        open_verts = [v for v in range(parent.n) if parent.degree(v) < 3]
+        open_verts = [v for v in range(parent.n) if len(parent.adj[v]) < 3]
         base = list(parent.edges)
         for r in range(min(3, len(open_verts)) + 1):
             for subset in combinations(open_verts, r):
@@ -599,7 +599,7 @@ def reference_corona_by_vertex(g: Graph, h: Graph) -> tuple[Graph, CoronaMap]:
         edges += [(v, x) for x in copy]
     for copy in copies:
         edges += [(copy[a], copy[b]) for a, b in h.edges]
-    return Graph(cmap.n, tuple(edges)), cmap
+    return new_graph(cmap.n, tuple(edges)), cmap
 
 
 @collector_paused

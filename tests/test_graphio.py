@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from coronacolor import (
     ColoringDocument,
     CoronaMap,
-    Graph,
     TotalColoring,
     base_coloring,
     color_corona,
@@ -207,9 +206,9 @@ def test_emit_dot_corona_labels():
 
 
 def test_coloring_json_round_trip_minimal():
-    doc = ColoringDocument(Graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3))
+    doc = ColoringDocument(new_graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3))
     assert parse_coloring_json(emit_coloring_json(doc)) == doc
-    doc2 = ColoringDocument(Graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3), CoronaMap(1, 1))
+    doc2 = ColoringDocument(new_graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3), CoronaMap(1, 1))
     assert parse_coloring_json(emit_coloring_json(doc2)) == doc2
 
 
@@ -222,7 +221,7 @@ def test_coloring_json_round_trip_random_documents():
         edges = tuple(sorted(pairs[: rng.randint(0, len(pairs))]))
         mx = rng.randint(1, 12)
         doc = ColoringDocument(
-            Graph(n, edges),
+            new_graph(n, edges),
             TotalColoring(
                 tuple(rng.randint(1, mx) for _ in range(n)),
                 tuple(rng.randint(1, mx) for _ in edges),
@@ -233,7 +232,7 @@ def test_coloring_json_round_trip_random_documents():
 
 
 def test_coloring_json_rejects_bad_documents():
-    doc = ColoringDocument(Graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3))
+    doc = ColoringDocument(new_graph(2, ((0, 1),)), TotalColoring((1, 2), (3,), 3))
     good = emit_coloring_json(doc)
     with pytest.raises(ColorOutOfRangeError):
         parse_coloring_json(good.replace('"vertex_colors": [1,', '"vertex_colors": [0,'))
@@ -335,13 +334,13 @@ def drawn_documents(draw):
     vcol = tuple(draw(st.lists(DOC_INT, min_size=n, max_size=n)))
     ecol = tuple(draw(st.lists(DOC_INT, min_size=len(edges), max_size=len(edges))))
     corona_map = draw(st.none() | st.builds(CoronaMap, DOC_INT, DOC_INT))
-    return ColoringDocument(Graph(n, edges), TotalColoring(vcol, ecol, draw(DOC_INT)), corona_map)
+    return ColoringDocument(new_graph(n, edges), TotalColoring(vcol, ecol, draw(DOC_INT)), corona_map)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(drawn_documents())
-@example(ColoringDocument(Graph(0, ()), TotalColoring((), (), 1)))
-@example(ColoringDocument(Graph(0, ()), TotalColoring((), (), 1), CoronaMap(0, 0)))
+@example(ColoringDocument(new_graph(0, ()), TotalColoring((), (), 1)))
+@example(ColoringDocument(new_graph(0, ()), TotalColoring((), (), 1), CoronaMap(0, 0)))
 def test_coloring_json_matches_the_reference_writer_on_drawn_documents(doc):
     assert emit_coloring_json(doc) == reference_emit_coloring_json(doc)
 
