@@ -7,18 +7,18 @@ one ladder: sigma, its vertices sorted by edge-color product.  With
 dg = max_degree(G), position pos >= 2 of sigma gets vertex color dg+pos+2,
 and every position gets spoke color dg+pos+3, so the products inside each
 copy rise strictly.  One case rule, decided once per call, gives the vertex
-color at position 1: dg+3 = 4 in Case1_2, beta in Case1_1 (which also
-recolors each edge of G and its ends), the avoidance color alpha_j in Case2,
-and for an isolated vertex, tagged Fallback as outside the paper's cases,
-the choice of ``cone_colors``, which also colors the vertex itself.  The
-vertex colors are the first factor's, then the ladder once per copy, whose
-position-1 column is written in one strided slice.  The edge colors follow
-the corona's canonical edge order: for each vertex of the first factor its
-edges to larger vertices and its spokes, then the copy edges, which repeat
-the second factor's edge coloring.  No component is searched: with an empty
-second factor the corona is the first factor, and its base coloring is the
-whole coloring (tagged Fallback).  One verifier pass over the corona checks
-every returned coloring; a violation is an internal error, never repaired.
+color at position 1: dg+3 = 4 in Case1_2, beta in Case1_1, the avoidance
+color alpha_j in Case2, and for an isolated vertex, tagged Fallback as
+outside the paper's cases, the choice of ``cone_colors``, which also colors
+the vertex itself.  In Case 1 each edge of G takes beta, or 3 in Case1_2,
+and its ends the other two of {1, 2, 3}, the smaller at the smaller end, as
+the base search colors a matching.  The vertex colors are G's, then the
+ladder once per copy.  The edge colors follow the corona's canonical order:
+for each vertex of G its edges to larger vertices and its spokes, then the
+copy edges, which repeat the second factor's edge coloring.  G is searched
+only in Case2, whose copies read its base colors, and when the second
+factor is empty and the corona is G.  One verifier pass over the corona
+checks every returned coloring; a violation is an internal error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .edgecolor import edge_colors_at, vizing_color
 from .graph import (CoronaMap, Graph, TotalColoring, collector_paused, connected_components,
-                    corona, max_degree, require_subcubic)
+                    corona, require_subcubic)
 from .graph import edge_index, subgraph  # unused here; perfbench's tracer patches these
 from .search import base_coloring, npdtc_search  # npdtc_search likewise
 from .verify import star_products, verify_npd
@@ -129,23 +129,21 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     when it is 1, the first of 4, 1, 2, 3 free at sigma[0] (on none of h's
     edges there; h is subcubic, so one is) colors position 1: 4 in Case1_2,
     beta in Case1_1.  Fallback covers isolated vertices and an empty h,
-    whose corona is g, colored by g's base coloring.  Otherwise the vertex
-    colors are g's base colors and then the ladder once per copy, and one
-    strided slice writes each copy's position-1 color (the case's, or the
-    cone's).  One walk over g's vertices writes the edge colors in the
-    corona's canonical edge order, v's g-edges to larger vertices in base
-    colors or beta (Case1_1, its ends then the other two of {1,2,3}) and v's
-    spokes, and colors each cone's hub; then the copy edges repeat h's edge
-    coloring.  One verifier pass over the corona checks the result; a
-    violation is an internal error.
+    whose corona is g, colored by g's base coloring; g is searched only then
+    and in Case2.  Otherwise the vertex colors are g's, then the ladder once
+    per copy with its position-1 color (the case's, or the cone's).  One walk
+    over g's vertices writes v's g-edges to larger vertices, in base colors
+    or in Case 1 in beta (3 in Case1_2) with ends the other two of {1,2,3},
+    v's spokes and each cone's hub; the copy edges repeat h's coloring.  One
+    verifier pass checks the result; a violation is an internal error.
     """
-    require_subcubic(g)
+    dg = require_subcubic(g)
     require_subcubic(h)
     cg, cmap = corona(g, h)
-    dg = max_degree(g)
     # v_j has degree dg+|V(h)| at most, which no copy vertex's deg+1 <= |V(h)| exceeds
     bound = dg + h.n + 3
-    base = base_coloring(g)
+    # only Case2 and an empty h read g's searched colors; the walk writes all of them otherwise
+    base = base_coloring(g) if dg >= 2 or not h.n else TotalColoring((0,) * g.n, (), 0)
     case, sigma, coloring = FALLBACK, (), base
     if h.n:
         vizing = vizing_color(h)
@@ -163,6 +161,7 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         if dg == 1:
             first = next(c for c in (4, 1, 2, 3) if c not in s_min)
             case = CASE_1_2 if first == 4 else CASE_1_1
+            beta = min(first, 3)  # g's edge color: 3 in Case1_2, as the base search gives it
         elif dg:
             case = CASE_2
             # min_copy_color's v_star: star products in the base coloring, spokes 2..4
@@ -181,9 +180,9 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
         t = 0  # v's g-edges to larger vertices are the next of base.edge_colors
         for v, nb in enumerate(g.adj):
             up = len(nb) - bisect(nb, v)  # nb is ascending
-            if case == CASE_1_1 and up:
-                vcol[v], vcol[nb[0]] = sorted({1, 2, 3} - {first})
-                earr.append(first)
+            if dg == 1 and up:
+                vcol[v], vcol[nb[0]] = sorted({1, 2, 3} - {beta})
+                earr.append(beta)
             else:
                 earr += base.edge_colors[t:t + up]
             t += up

@@ -123,10 +123,12 @@ def max_degree(g: Graph) -> int:
     return max(map(len, g.adj), default=0)
 
 
-def require_subcubic(g: Graph) -> None:
+def require_subcubic(g: Graph) -> int:
+    """g's maximum degree, which must be at most 3."""
     d = max_degree(g)
     if d > 3:
         raise NotSubcubicError(f"maximum degree {d} exceeds 3")
+    return d
 
 
 def edge_index(g: Graph) -> dict[tuple[int, int], int]:

@@ -313,8 +313,7 @@ def base_coloring(g: Graph) -> TotalColoring:
     internal error and both failure paths summarize the instance for a bug
     report.
     """
-    require_subcubic(g)
-    k = max_degree(g) + 3
+    k = require_subcubic(g) + 3
     try:
         tc = npdtc_search(g, k, BASE_BUDGET)
     except BudgetExceededError as exc:

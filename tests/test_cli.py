@@ -240,15 +240,20 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
     assert_one_line(capsys.readouterr().err, "budget exceeded:")
     monkeypatch.undo()
 
-    # the base search on G runs out too: same exit code, one line, no traceback
+    # the base search on G runs out too: same exit code, one line, no
+    # traceback.  It runs only when Δ(G) >= 2 (here P3) or H is empty
     def exhausted(g):
         raise BudgetExceededError("forced base")
 
     monkeypatch.setattr(construct, "base_coloring", exhausted)
+    p3 = write_g6(tmp_path / "p3.g6", new_graph(3, [(0, 1), (1, 2)]))
     capsys.readouterr()
-    assert main(["color", "--g", gp, "--h", gp]) == 4
+    assert main(["color", "--g", p3, "--h", gp]) == 4
     err = capsys.readouterr().err
     assert err == "budget exceeded: forced base\n"
+    # K2 x K2 is Case 1, which colors G by rule and searches nothing
+    assert main(["color", "--g", gp, "--h", gp]) == 0
+    assert capsys.readouterr().out == "case=Case1_2 max_color=6 bound=6\n"
 
 
 def test_color_internal_error_exit(tmp_path, monkeypatch, capsys):

@@ -62,7 +62,8 @@ def dispatch_rule(g, h, res):
 def count_searches(mp):
     """Record the graph of every exact search from here on: npdtc_search and
     chi_prod_exact both run search._search.  color_corona's only one is the
-    base coloring of G, so no component and no cone is searched."""
+    base coloring of G, run when Δ(G) >= 2 or H is empty (base_searches), so
+    no component and no cone is searched, and Case 1 colors G by rule."""
     from coronacolor import search
 
     searched = []
@@ -74,6 +75,12 @@ def count_searches(mp):
 
     mp.setattr(search, "_search", counting)
     return searched
+
+
+def base_searches(g, h):
+    """The searches color_corona(g, h) runs: G's base coloring when Case2
+    reads it or the corona is G itself, none otherwise."""
+    return [g] if max_degree(g) >= 2 or not h.n else []
 
 
 def test_sort_by_product_examples():
@@ -457,7 +464,7 @@ def test_color_corona_property(g, h):
     with pytest.MonkeyPatch.context() as mp:  # cones of isolated vertices included
         searched = count_searches(mp)
         res = color_corona(g, h)
-    assert searched == [g]
+    assert searched == base_searches(g, h)
     assert verify_npd(res.graph, res.coloring).ok
     assert res.coloring.max_color <= res.trace.palette_bound == max_degree(res.graph) + 3
     assert [comp for comp, _ in res.trace.component_cases] == connected_components(g)
@@ -503,7 +510,7 @@ def test_structured_corpus_needs_no_search(monkeypatch):
         for h in hs:
             searched.clear()
             res = color_corona(g, h)
-            assert searched == [g]
+            assert searched == base_searches(g, h)
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color <= res.trace.palette_bound
             assert list(res.trace.component_cases) == dispatch_rule(g, h, res)
@@ -600,7 +607,7 @@ def test_isolated_vertices_share_one_cone_coloring(monkeypatch):
         calls.clear()
         searched.clear()
         res = color_corona(g, h)
-        assert len(calls) == 1 and searched == [g]
+        assert len(calls) == 1 and searched == []  # Δ(G) = 1: G colored by rule
         vc, ec = res.coloring.vertex_colors, res.coloring.edge_colors
         m_h, block0 = len(h.edges), len(res.graph.edges) - 5 * len(h.edges)
         hubs = {vc[v] for v in (2, 3, 4)}
@@ -626,7 +633,7 @@ def test_violation_in_a_cone_is_an_internal_error(monkeypatch):
         searched.clear()
         with pytest.raises(AssertionError, match="failed verification"):
             color_corona(new_graph(1), k(2))
-        assert searched == [new_graph(1)]
+        assert searched == []
 
 
 # G of max_degree 0..3 that keep an isolated vertex: K1, K2+K1, P3+K1, K1,3+K1
@@ -645,7 +652,7 @@ def test_cone_rule_on_every_small_h(monkeypatch):
         for h in hs:
             searched.clear()
             res = color_corona(g, h)
-            assert searched == [g]
+            assert searched == base_searches(g, h)
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color == res.trace.palette_bound
             assert res.trace.component_cases[-1] == ((g.n - 1,), FALLBACK)
@@ -678,7 +685,7 @@ def test_random_cones_need_no_search(monkeypatch):
         for seed in range(3):
             searched.clear()
             res = color_corona(new_graph(1), gen_random_subcubic(n, seed))
-            assert searched == [new_graph(1)]
+            assert searched == []
             assert verify_npd(res.graph, res.coloring).ok
             assert res.coloring.max_color == res.trace.palette_bound == n + 3
             assert res.trace.case_tag == FALLBACK

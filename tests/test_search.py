@@ -11,6 +11,7 @@ from coronacolor import (
     TotalColoring,
     base_coloring,
     chi_prod_exact,
+    color_corona,
     corona,
     enumerate_subcubic,
     gen_random_subcubic,
@@ -375,6 +376,21 @@ def test_p3_has_a_three_coloring():
 def test_base_coloring():
     tc = base_coloring(k(2))
     assert (tc.vertex_colors, tc.edge_colors) == ((1, 2), (3,))
+    # the rule color_corona's Case 1 writes in place of this search: on every
+    # graph of maximum degree <= 1 each edge takes 3, its smaller end 1 and
+    # its larger end 2, and each isolated vertex takes 1
+    small = [g for n in range(1, 9) for g in enumerate_subcubic(n) if max_degree(g) <= 1]
+    perfect = new_graph(1 << 12, [(v, v + 1) for v in range(0, 1 << 12, 2)])
+    interleaved = new_graph(12, [(0, 3), (1, 5), (4, 9), (6, 11)])  # 2, 7, 8, 10 isolated
+    for g in small + [perfect, interleaved]:
+        vc = [1] * g.n
+        for b in g.hi:
+            vc[b] = 2
+        tc = base_coloring(g)
+        assert (tc.vertex_colors, tc.edge_colors) == (tuple(vc), (3,) * len(g.lo)), g
+    assert len(small) == sum(n // 2 + 1 for n in range(1, 9)) == 24  # one per matching size
+    # the empty-H corona is G, and still takes its coloring from the search
+    assert color_corona(interleaved, new_graph(0)).coloring == base_coloring(interleaved)
     for g in (k(3), new_graph(3, [(0, 1), (1, 2)])):
         tc = base_coloring(g)
         assert tc.max_color <= max_degree(g) + 3
