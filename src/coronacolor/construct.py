@@ -73,7 +73,7 @@ class ColorResult(NamedTuple):
 def sort_by_product(ecol: tuple[int, ...], h: Graph) -> tuple[int, ...]:
     """h's vertices by nondecreasing incident edge-color product, ties by index."""
     prod = star_products([1] * h.n, h, ecol)
-    return tuple(sorted(range(h.n), key=lambda u: (prod[u], u)))
+    return tuple(sorted(range(h.n), key=prod.__getitem__))  # stable: ties stay by index
 
 
 def min_copy_color(v: int, base: TotalColoring, s_min: frozenset[int], v_star: int) -> int:

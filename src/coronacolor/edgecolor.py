@@ -23,61 +23,61 @@ def vizing_color(h: Graph) -> tuple[int, ...]:
     is free, and that vertex's edge to u takes d.  Ties always break to the
     lowest color and the smallest vertex, so the output is a deterministic
     function of the graph.
-    Each color is stored once, in one map per vertex from color to the
-    neighbor across that edge; an insertion reads the first endpoint's colors
-    by neighbor from a snapshot of its map, taken again after an inversion.
+    Each vertex keeps two maps in step, one from neighbor to the color of
+    their edge and one from color to the neighbor across it; the inversion
+    and the rotation update both in place.
     """
-    k = max_degree(h) + 1
-    at: list[dict[int, int]] = [dict() for _ in range(h.n)]  # vertex -> color -> neighbor
-
-    def free(v: int) -> int:
-        for c in range(1, k + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("degree exceeds palette")
-
-    def invert_path(u: int, c: int, d: int) -> None:
-        # walk the maximal path from u alternating d, c, then swap the two colors
-        path: list[tuple[int, int, int]] = []  # (x, y, color)
-        x, want = u, d
-        while want in at[x]:
-            y = at[x][want]
-            path.append((x, y, want))
-            x, want = y, (c if want == d else d)
-        for a, b, old in path:
-            del at[a][old]
-            del at[b][old]
-        for a, b, old in path:
-            new = c if old == d else d
-            at[a][new] = b
-            at[b][new] = a
-
+    adj = h.adj
+    palette = range(1, max_degree(h) + 2)
+    col: list[dict[int, int]] = [{} for _ in adj]  # vertex -> neighbor -> color
+    at: list[dict[int, int]] = [{} for _ in adj]  # vertex -> color -> neighbor
     for u, v in zip(h.lo, h.hi):
-        col_u = {w: c for c, w in at[u].items()}  # neighbor -> color of its edge to u
-        fan = [v]
-        while True:
-            for w in h.adj[u]:
-                if w not in fan and w in col_u and col_u[w] not in at[fan[-1]]:
+        cu, au = col[u], at[u]
+        fan, ax = [v], at[v]
+        while cu:  # u's colored edges may extend the fan
+            for w in adj[u]:
+                if w in cu and cu[w] not in ax and w not in fan:
                     fan.append(w)
+                    ax = at[w]
                     break
             else:
                 break
-        c = free(u)
-        d = free(fan[-1])
-        if c != d and d in at[u]:
-            invert_path(u, c, d)
-            col_u = {w: c for c, w in at[u].items()}
+        for c in palette:
+            if c not in au:
+                break
+        for d in palette:
+            if d not in ax:
+                break
+        else:
+            raise AssertionError("degree exceeds palette")
+        if c != d and d in au:
+            path, want = [u], d  # the maximal path from u alternating d, c
+            while want in at[path[-1]]:
+                path.append(at[path[-1]][want])
+                want = c + d - want
+            for x in path:  # x's c- and d-edges are all on the path: swap them
+                ax, cx = at[x], col[x]
+                y, z = ax.pop(c, None), ax.pop(d, None)
+                if y is not None:
+                    ax[d] = y
+                    cx[y] = d
+                if z is not None:
+                    ax[c] = z
+                    cx[z] = c
         # the first d-free vertex closes a fan: the inversion turns only (u, fan[j]) from d to c, and
-        # fan[j-1], once d-free, loses d only as the path's far end, then c-free; it or fan[-1] keeps d
-        w_idx = next(i for i, x in enumerate(fan) if d not in at[x])
-        # u-fan[j] hands its color to u-fan[j-1]; u-fan[0] is the uncolored
-        # edge being inserted, and each later one was uncolored the step before
-        for j in range(1, w_idx + 1):
-            cj = col_u[fan[j]]
-            del at[fan[j]][cj]
-            at[u][cj] = fan[j - 1]
-            at[fan[j - 1]][cj] = u
-        at[u][d] = fan[w_idx]
-        at[fan[w_idx]][d] = u
-    col = [{w: c for c, w in m.items()} for m in at]  # vertex -> neighbor -> color
-    return tuple(col[a][b] for a, b in zip(h.lo, h.hi))
+        # fan[j-1], once d-free, loses d only as the path's far end, then c-free; it or fan[-1] keeps d.
+        # Up to it u-fan[j] hands its color, never d (now free at u), to u-fan[j-1], the new edge first
+        x = v
+        for y in fan[1:]:
+            if d not in at[x]:
+                break
+            cy = cu[y]
+            del at[y][cy]
+            au[cy] = x
+            at[x][cy] = u
+            cu[x] = col[x][u] = cy
+            x = y
+        au[d] = x
+        at[x][d] = u
+        cu[x] = col[x][u] = d
+    return tuple([col[a][b] for a, b in zip(h.lo, h.hi)])

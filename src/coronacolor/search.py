@@ -153,11 +153,12 @@ def npdtc_search(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> TotalColorin
     agree.  Raises BudgetExceededError when the node budget runs out, which is
     distinct from an exhaustive None.
     """
-    return _search(g, k, budget, twins=False)
+    return _search(g, k, budget, twins=False)[0]
 
 
-def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
-    """The backtracking of ``npdtc_search``; with twins, capped within twin classes.
+def _search(g: Graph, k: int, budget: int, twins: bool) -> tuple[TotalColoring | None, int]:
+    """The backtracking of ``npdtc_search``; with twins, capped within twin
+    classes.  Returns the coloring or None, and the number of nodes searched.
 
     The order is static, so at depth d exactly order[:d] is colored, and the
     uncolored conflicts of order[d], its forward list, are those placed after
@@ -176,14 +177,14 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
     n, m = g.n, len(g.lo)
     total = n + m
     if total == 0:
-        return TotalColoring((), (), 1)
+        return TotalColoring((), (), 1), 0
     deg = [len(nb) for nb in g.adj]
     if max(deg, default=0) + 1 > k:
-        return None
+        return None, 0
     for a, b in zip(g.lo, g.hi):
         # both stars would need the whole palette, forcing equal products
         if deg[a] + 1 == k and deg[b] + 1 == k:
-            return None
+            return None, 0
     if (slots := _setup_slots(deg, k)) > MAX_SEARCH_SLOTS:
         raise ValueError(f"search set-up of {slots} list slots exceeds {MAX_SEARCH_SLOTS}")
 
@@ -210,7 +211,7 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
     depth = 0
     while True:
         if depth == total:
-            return TotalColoring(tuple(color[:n]), tuple(color[n:total]), max(color[:total]))
+            return TotalColoring(tuple(color[:n]), tuple(color[n:total]), max(color[:total])), nodes
         e = order[depth]
         fwd = ahead[depth]
         c = last[depth]
@@ -233,7 +234,7 @@ def _search(g: Graph, k: int, budget: int, twins: bool) -> TotalColoring | None:
             last[depth] = 0
             depth -= 1
             if depth < 0:
-                return None
+                return None, nodes
             continue
         last[depth] = c
         nodes += 1
@@ -288,7 +289,7 @@ def chi_prod_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> TotalColoring:
             continue
         sub, verts, ids = subgraph(g, comp)
         k = max_degree(sub) + 1
-        while (tc := _search(sub, k, budget, twins=True)) is None:
+        while (tc := _search(sub, k, budget, twins=True)[0]) is None:
             k += 1
         for v, c in zip(verts, tc.vertex_colors):
             vcol[v] = c

@@ -3,6 +3,7 @@ import random
 from itertools import combinations, product
 from math import prod
 
+import networkx as nx
 import pytest
 
 from coronacolor import (
@@ -14,7 +15,7 @@ from coronacolor import (
     vizing_color,
 )
 from coronacolor.errors import BudgetExceededError
-from oracles import chi_prime_exact, cycle, k
+from oracles import chi_prime_exact, cycle, k, reference_vizing_color
 
 
 def assert_proper(g, ecol):
@@ -156,3 +157,15 @@ def test_vizing_output_is_pinned():
         digest.update((repr((max_degree(g) + 1 if g.edges else 1, ec)) + "\n").encode())
     assert len(graphs) == 283
     assert digest.hexdigest() == VIZING_OUTPUT_SHA256
+
+
+def test_vizing_matches_the_reference():
+    # the two maps kept in step color as the earlier single map did: every
+    # atlas graph (any degree), random subcubic graphs, and dense G(n, p),
+    # where the fans are long and most insertions invert a path
+    graphs = [new_graph(a.number_of_nodes(), list(a.edges())) for a in nx.graph_atlas_g()[1:]]
+    graphs += [gen_random_subcubic(n, s) for n in (50, 500, 2000) for s in range(3)]
+    dense = [(12, 0.9), (30, 0.5), (40, 0.9), (80, 0.2), (80, 0.6), (80, 0.9)]
+    graphs += [new_graph(n, list(nx.gnp_random_graph(n, p, seed=s).edges())) for s, (n, p) in enumerate(dense)]
+    for g in graphs:
+        assert vizing_color(g) == reference_vizing_color(g), g

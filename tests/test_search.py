@@ -165,7 +165,8 @@ def test_element_order_setup_memory_on_a_star():
 
 def test_search_visits_the_reference_tree():
     # the kernel must return the reference's result within exactly the
-    # reference's node count N, and run out of budget one node earlier
+    # reference's node count N, count N nodes itself, and run out of budget
+    # one node earlier
     cases = [
         (g, kk)
         for n in range(1, 7)
@@ -179,6 +180,7 @@ def test_search_visits_the_reference_tree():
     for g, kk in cases:
         want, nodes = reference_npdtc_search(g, kk)
         assert npdtc_search(g, kk, budget=nodes) == want, (g.edges, kk)
+        assert search._search(g, kk, nodes, twins=False) == (want, nodes), (g.edges, kk)
         if nodes:
             with pytest.raises(BudgetExceededError):
                 npdtc_search(g, kk, budget=nodes - 1)
