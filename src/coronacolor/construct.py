@@ -10,15 +10,16 @@ copy rise strictly.  One case rule, decided once per call, gives the vertex
 color at position 1: dg+3 = 4 in Case1_2, beta in Case1_1, the avoidance
 color alpha_j in Case2, and for an isolated vertex, tagged Fallback as
 outside the paper's cases, the choice of ``cone_colors``, which also colors
-the vertex itself.  In Case 1 each edge of G takes beta, or 3 in Case1_2,
-and its ends the other two of {1, 2, 3}, the smaller at the smaller end, as
-the base search colors a matching.  The vertex colors are G's, then the
-ladder once per copy.  The edge colors follow the corona's canonical order:
-for each vertex of G its edges to larger vertices and its spokes, then the
-copy edges, which repeat the second factor's edge coloring.  G is searched
-only in Case2, whose copies read its base colors, and when the second
-factor is empty and the corona is G.  One verifier pass over the corona
-checks every returned coloring; a violation is an internal error.
+the vertex itself.  G's colors come from one distinguishing total coloring,
+searched only when dg >= 2; otherwise Case 1's rule gives each edge beta (3
+unless Case1_1), its ends the other two of {1, 2, 3}, the smaller at the
+smaller end, and an isolated vertex 1, as the search does with beta = 3.
+The corona of an empty second factor is G, colored so.  Otherwise the vertex
+colors are G's, then the ladder once per copy, and the edge colors follow
+the corona's canonical order: for each vertex of G its edges to larger
+vertices and its spokes, then the copy edges, which repeat the second
+factor's edge coloring.  One verifier pass checks every returned coloring
+over the whole corona; a violation is an internal error.
 """
 
 from __future__ import annotations
@@ -125,26 +126,23 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
     """Build g∘h and a verified distinguishing total coloring within
     max_degree(g∘h)+3 colors.
 
-    The case is decided once per call: Case2 when max_degree(g) >= 2, and
-    when it is 1, the first of 4, 1, 2, 3 free at sigma[0] (on none of h's
-    edges there; h is subcubic, so one is) colors position 1: 4 in Case1_2,
-    beta in Case1_1.  Fallback covers isolated vertices and an empty h,
-    whose corona is g, colored by g's base coloring; g is searched only then
-    and in Case2.  Otherwise the vertex colors are g's, then the ladder once
-    per copy with its position-1 color (the case's, or the cone's).  One walk
-    over g's vertices writes v's g-edges to larger vertices, in base colors
-    or in Case 1 in beta (3 in Case1_2) with ends the other two of {1,2,3},
-    v's spokes and each cone's hub; the copy edges repeat h's coloring.  One
-    verifier pass checks the result; a violation is an internal error.
+    The case is decided once per call: Case2 when max_degree(g) >= 2, and when
+    it is 1, the first of 4, 1, 2, 3 free at sigma[0] (on none of h's edges
+    there; h is subcubic, so one is) colors position 1: 4 in Case1_2, beta in
+    Case1_1.  Fallback tags isolated vertices and an empty h.  Then g's one
+    coloring is built, searched only when max_degree(g) >= 2; an empty h's
+    corona, g itself, takes it as is.  Otherwise the vertex colors are g's with
+    each cone's hub, then the ladder once per copy with its position-1 color.
+    One walk over g's vertices copies v's run of g's edge colors to larger
+    vertices, then v's spokes; the copy edges repeat h's coloring.  One verifier
+    pass checks the result; a violation is an internal error.
     """
     dg = require_subcubic(g)
     require_subcubic(h)
     cg, cmap = corona(g, h)
     # v_j has degree dg+|V(h)| at most, which no copy vertex's deg+1 <= |V(h)| exceeds
     bound = dg + h.n + 3
-    # only Case2 and an empty h read g's searched colors; the walk writes all of them otherwise
-    base = base_coloring(g) if dg >= 2 or not h.n else TotalColoring((0,) * g.n, (), 0)
-    case, sigma, coloring = FALLBACK, (), base
+    case, sigma, beta = FALLBACK, (), 3
     if h.n:
         vizing = vizing_color(h)
         # dg = 0: trade colors 4 and the first c of 4, 3, 2, 1 keeping 4 off sigma[:2]'s edges
@@ -154,41 +152,43 @@ def color_corona(g: Graph, h: Graph) -> ColorResult:
             if dg or all(4 not in edge_colors_at(h, ecol, u) for u in sigma[:2]):
                 break
         s_min = edge_colors_at(h, ecol, sigma[0])
+        if dg == 1:
+            first = next(c for c in (4, 1, 2, 3) if c not in s_min)
+            case = CASE_1_2 if first == 4 else CASE_1_1
+            beta = min(first, 3)  # 3 in Case1_2
+        elif dg:
+            case = CASE_2
+    if dg >= 2:
+        base = base_coloring(g)
+    else:  # Case 1's rule, which with beta = 3 is the base search's coloring of g
+        a, b = sorted({1, 2, 3} - {beta})
+        vc = tuple(1 if not nb else a if v < nb[0] else b for v, nb in enumerate(g.adj))
+        base = TotalColoring(vc, (beta,) * len(g.lo), 3 if g.lo else 1)
+    coloring = base
+    if h.n:
         # copy j's vertex colors and spokes in h's vertex order
         ladder, spokes = [0] * h.n, [0] * h.n
         for pos, u in enumerate(sigma, 1):
             ladder[u], spokes[u] = dg + pos + 2, dg + pos + 3
-        if dg == 1:
-            first = next(c for c in (4, 1, 2, 3) if c not in s_min)
-            case = CASE_1_2 if first == 4 else CASE_1_1
-            beta = min(first, 3)  # g's edge color: 3 in Case1_2, as the base search gives it
-        elif dg:
-            case = CASE_2
-            # min_copy_color's v_star: star products in the base coloring, spokes 2..4
-            star = star_products(base.vertex_colors, g, base.edge_colors)
-            tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
         if not all(g.adj):
             cone, hub = cone_colors(h, ecol, sigma[0], ladder, spokes)
         if case == CASE_2:
+            # min_copy_color's v_star: star products in the base coloring, spokes 2..4
+            star = star_products(base.vertex_colors, g, base.edge_colors)
+            tail = math.prod(range(dg + 5, dg + min(h.n, 4) + 4))
             firsts = [min_copy_color(v, base, s_min, star[v] * tail) if nb else cone
                       for v, nb in enumerate(g.adj)]
         else:  # Case 1, or dg = 0 and every vertex a cone's hub
             firsts = [first if nb else cone for nb in g.adj]
-        vcol = list(base.vertex_colors) + ladder * g.n
+        vcol = [c if nb else hub for c, nb in zip(base.vertex_colors, g.adj)] + ladder * g.n
         vcol[g.n + sigma[0]::h.n] = firsts  # copy j's position 1
         earr: list[int] = []
         t = 0  # v's g-edges to larger vertices are the next of base.edge_colors
         for v, nb in enumerate(g.adj):
             up = len(nb) - bisect(nb, v)  # nb is ascending
-            if dg == 1 and up:
-                vcol[v], vcol[nb[0]] = sorted({1, 2, 3} - {beta})
-                earr.append(beta)
-            else:
-                earr += base.edge_colors[t:t + up]
+            earr += base.edge_colors[t:t + up]
             t += up
             earr += spokes
-            if not nb:
-                vcol[v] = hub
         earr += ecol * g.n
         coloring = TotalColoring(tuple(vcol), tuple(earr), max(max(vcol), max(earr)))
     report = verify_npd(cg, coloring)

@@ -135,8 +135,8 @@ def edge_index(g: Graph) -> dict[tuple[int, int], int]:
     """Canonical edge -> position in g.edges.
 
     No package code calls it.  Its one user is perfbench's tracer, which
-    patches it through construct's import until ROADMAP item 1 moves the
-    tracer onto the columns."""
+    patches it through construct's import until the ROADMAP item "The
+    benchmark, in two PRs" moves the tracer onto the columns."""
     return {e: t for t, e in enumerate(g.edges)}
 
 

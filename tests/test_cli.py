@@ -241,7 +241,7 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
 
     # the base search on G runs out too: same exit code, one line, no
-    # traceback.  It runs only when Δ(G) >= 2 (here P3) or H is empty
+    # traceback.  It runs only when Δ(G) >= 2 (here P3), whatever H is
     def exhausted(g):
         raise BudgetExceededError("forced base")
 
@@ -254,6 +254,10 @@ def test_color_fallback_budget_exit(tmp_path, monkeypatch, capsys):
     # K2 x K2 is Case 1, which colors G by rule and searches nothing
     assert main(["color", "--g", gp, "--h", gp]) == 0
     assert capsys.readouterr().out == "case=Case1_2 max_color=6 bound=6\n"
+    # K2 x the empty graph is K2 itself, colored by the same rule: no search
+    h0 = write_g6(tmp_path / "h0.g6", new_graph(0))
+    assert main(["color", "--g", gp, "--h", h0]) == 0
+    assert capsys.readouterr().out == "case=Fallback max_color=3 bound=4\n"
 
 
 def test_color_internal_error_exit(tmp_path, monkeypatch, capsys):

@@ -62,8 +62,9 @@ def dispatch_rule(g, h, res):
 def count_searches(mp):
     """Record the graph of every exact search from here on: npdtc_search and
     chi_prod_exact both run search._search.  color_corona's only one is the
-    base coloring of G, run when Δ(G) >= 2 or H is empty (base_searches), so
-    no component and no cone is searched, and Case 1 colors G by rule."""
+    base coloring of G, run when Δ(G) >= 2 (base_searches), whatever H is, so
+    no component and no cone is searched, and Case 1's rule colors G, the
+    corona of an empty H included."""
     from coronacolor import search
 
     searched = []
@@ -78,9 +79,9 @@ def count_searches(mp):
 
 
 def base_searches(g, h):
-    """The searches color_corona(g, h) runs: G's base coloring when Case2
-    reads it or the corona is G itself, none otherwise."""
-    return [g] if max_degree(g) >= 2 or not h.n else []
+    """The searches color_corona(g, h) runs: G's base coloring when Δ(G) >= 2,
+    for every H, and none otherwise."""
+    return [g] if max_degree(g) >= 2 else []
 
 
 def test_sort_by_product_examples():
@@ -519,14 +520,14 @@ def test_structured_corpus_needs_no_search(monkeypatch):
 
 
 def test_empty_h_needs_no_component_search(monkeypatch):
-    # G∘(empty H) is G, and G's base coloring colors it whole; every G with
-    # 1-7 vertices, disconnected ones included
+    # G∘(empty H) is G, and G's one coloring colors it whole, searched only
+    # when Δ(G) >= 2; every G with 1-7 vertices, disconnected ones included
     searched = count_searches(monkeypatch)
     gs = [g for ng in range(1, 8) for g in enumerate_subcubic(ng)]
     for g in gs:
         searched.clear()
         res = color_corona(g, new_graph(0))
-        assert searched == [g]
+        assert searched == base_searches(g, new_graph(0))
         assert verify_npd(res.graph, res.coloring).ok
         assert all(tag == FALLBACK for _, tag in res.trace.component_cases)
     assert len(gs) == 253
@@ -693,7 +694,8 @@ def test_random_cones_need_no_search(monkeypatch):
 
 def test_violation_with_an_empty_h_is_an_internal_error(monkeypatch):
     # with H empty the corona is G, so a violation's owner is a vertex of G
-    # and is found without dividing by |V(H)|
+    # and is found without dividing by |V(H)|; P4 has Δ = 2, so its coloring
+    # is the (patched) base search's
     from coronacolor import construct
     from coronacolor.search import TotalColoring
 
@@ -702,4 +704,25 @@ def test_violation_with_an_empty_h_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(construct, "base_coloring", clashing_base)
     with pytest.raises(AssertionError, match="failed verification"):
-        color_corona(new_graph(4, [(0, 1), (2, 3)]), new_graph(0))
+        color_corona(new_graph(4, [(0, 1), (1, 2), (2, 3)]), new_graph(0))
+
+
+def test_empty_h_takes_the_rule_without_search():
+    # Δ(G) <= 1: the corona of the empty H is G, colored by Case 1's rule with
+    # beta = 3, which is exactly the base search's coloring, but no search runs
+    from coronacolor import search
+
+    small = [g for n in range(1, 9) for g in enumerate_subcubic(n) if max_degree(g) <= 1]
+    perfect = new_graph(1 << 12, [(v, v + 1) for v in range(0, 1 << 12, 2)])
+    interleaved = new_graph(12, [(0, 3), (1, 5), (4, 9), (6, 11)])  # 2, 7, 8, 10 isolated
+    gs = small + [perfect, interleaved]
+    expected = [base_coloring(g) for g in gs]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_search", no_search)
+        for g, tc in zip(gs, expected):
+            assert color_corona(g, new_graph(0)).coloring == tc, g
+    assert len(small) == 24

@@ -391,7 +391,7 @@ def test_base_coloring():
         tc = base_coloring(g)
         assert (tc.vertex_colors, tc.edge_colors) == (tuple(vc), (3,) * len(g.lo)), g
     assert len(small) == sum(n // 2 + 1 for n in range(1, 9)) == 24  # one per matching size
-    # the empty-H corona is G, and still takes its coloring from the search
+    # the empty-H corona is G, and Case 1's rule gives it this same coloring
     assert color_corona(interleaved, new_graph(0)).coloring == base_coloring(interleaved)
     for g in (k(3), new_graph(3, [(0, 1), (1, 2)])):
         tc = base_coloring(g)
